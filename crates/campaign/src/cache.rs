@@ -33,6 +33,17 @@
 //! served) and the runner falls back to recomputation — a damaged cache
 //! costs time, never correctness.
 //!
+//! ## The cache is a set keyed by scenario id
+//!
+//! Runner threads append each outcome as it completes, so the **order of
+//! lines follows thread scheduling** and differs between two runs of the
+//! same grid (even on the same thread count). Only the content is part of
+//! the contract: the set of records, one per scenario id (later lines win
+//! when an id repeats). Readers index records by id and never depend on
+//! line order; anything that compares two cache files must compare them
+//! canonically, sorted by scenario id. Reports aggregated from a cache are
+//! ordered by id and stay byte-identical.
+//!
 //! Floats round-trip exactly through the JSONL encoding (shortest
 //! round-trip formatting), so a report aggregated from cached outcomes is
 //! **byte-identical** to one aggregated from fresh simulations — the

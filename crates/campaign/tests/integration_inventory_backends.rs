@@ -4,50 +4,15 @@
 //! inventory pool store runs underneath (the flat edge-indexed store by
 //! default, the legacy `BTreeMap` via `QNET_INVENTORY=btree`). This spawns
 //! the real `campaign` binary over the **default 108-scenario paper grid**
-//! once per backend and compares every produced byte: the aggregate report
-//! and the per-scenario outcome cache. It also re-pins the default grid's
-//! fingerprint — the cache file name is part of the on-disk contract, and
-//! an accidental grid change would silently orphan every existing cache.
+//! once per backend and compares the aggregate report byte for byte and the
+//! per-scenario outcome cache line for line, sorted by scenario id (the cache
+//! is a set; its line order follows thread scheduling). It also re-pins the
+//! default grid's fingerprint through the cache file name.
 
+mod common;
+
+use common::run_default_grid;
 use std::fs;
-use std::path::Path;
-use std::process::Command;
-
-fn campaign_bin() -> &'static str {
-    env!("CARGO_BIN_EXE_campaign")
-}
-
-/// The default paper grid's fingerprint (`ScenarioGrid::fingerprint` over
-/// every axis value, master seed, and replicate count).
-const DEFAULT_GRID_FINGERPRINT: &str = "3d0ceedd6e2ff513";
-
-fn run_default_grid(dir: &Path, backend: Option<&str>) -> (Vec<u8>, Vec<u8>) {
-    let out = dir.join("report.jsonl");
-    let cache = dir.join("cache");
-    let mut cmd = Command::new(campaign_bin());
-    cmd.arg("--out").arg(&out).arg("--cache-dir").arg(&cache);
-    match backend {
-        Some(b) => cmd.env("QNET_INVENTORY", b),
-        None => cmd.env_remove("QNET_INVENTORY"),
-    };
-    let status = cmd.status().expect("spawn campaign binary");
-    assert!(status.success(), "campaign run failed ({backend:?})");
-    let outcomes = cache.join(format!("outcomes-{DEFAULT_GRID_FINGERPRINT}.jsonl"));
-    assert!(
-        outcomes.is_file(),
-        "default grid fingerprint drifted: expected {}, cache dir holds {:?}",
-        outcomes.display(),
-        fs::read_dir(&cache)
-            .map(|d| d
-                .filter_map(|e| e.ok().map(|e| e.file_name()))
-                .collect::<Vec<_>>())
-            .unwrap_or_default()
-    );
-    (
-        fs::read(&out).expect("read aggregate report"),
-        fs::read(&outcomes).expect("read outcome cache"),
-    )
-}
 
 #[test]
 fn default_grid_is_byte_identical_across_inventory_backends() {
@@ -60,12 +25,13 @@ fn default_grid_is_byte_identical_across_inventory_backends() {
     fs::create_dir_all(&flat_dir).unwrap();
     fs::create_dir_all(&btree_dir).unwrap();
 
-    let (flat_report, flat_outcomes) = run_default_grid(&flat_dir, Some("flat"));
-    let (btree_report, btree_outcomes) = run_default_grid(&btree_dir, Some("btree"));
+    let (flat_report, flat_outcomes) = run_default_grid(&flat_dir, "QNET_INVENTORY", Some("flat"));
+    let (btree_report, btree_outcomes) =
+        run_default_grid(&btree_dir, "QNET_INVENTORY", Some("btree"));
     // And the backend default (no env var) must match the explicit flat.
     let default_dir = base.join("default");
     fs::create_dir_all(&default_dir).unwrap();
-    let (default_report, default_outcomes) = run_default_grid(&default_dir, None);
+    let (default_report, default_outcomes) = run_default_grid(&default_dir, "QNET_INVENTORY", None);
 
     assert!(
         flat_report == btree_report,
@@ -78,7 +44,7 @@ fn default_grid_is_byte_identical_across_inventory_backends() {
     assert!(flat_report == default_report);
     assert!(flat_outcomes == default_outcomes);
     // 108 outcome lines (the full default grid), 31 aggregate lines.
-    assert_eq!(flat_outcomes.iter().filter(|&&b| b == b'\n').count(), 108);
+    assert_eq!(flat_outcomes.len(), 108);
     assert_eq!(flat_report.iter().filter(|&&b| b == b'\n').count(), 31);
 
     fs::remove_dir_all(&base).ok();

@@ -5,55 +5,22 @@
 //! backend survives behind `QNET_KNOWLEDGE=truth`. The two must be
 //! indistinguishable at the byte level: this spawns the real `campaign`
 //! binary over the **default 108-scenario paper grid** once per backend and
-//! compares every produced byte — the aggregate report and the per-scenario
-//! outcome cache. It also re-pins the default grid's fingerprint (the cache
-//! file name is part of the on-disk contract; adding the knowledge axis
-//! must not have moved it).
+//! compares the aggregate report byte for byte and the per-scenario outcome
+//! cache line for line, sorted by scenario id (the cache is a set; its line
+//! order follows thread scheduling). It also re-pins the default grid's
+//! fingerprint (adding the knowledge axis must not have moved it).
 //!
 //! The second test is the stale-knowledge determinism smoke: a genuinely
 //! gossiping grid (nonzero refresh period, so rows age and swaps can miss)
 //! must be byte-identical cold, warm from its own outcome cache, and
 //! recombined from a 2-way shard split.
 
+mod common;
+
+use common::{campaign_bin, run_default_grid};
 use std::fs;
 use std::path::Path;
 use std::process::Command;
-
-fn campaign_bin() -> &'static str {
-    env!("CARGO_BIN_EXE_campaign")
-}
-
-/// The default paper grid's fingerprint (`ScenarioGrid::fingerprint` over
-/// every axis value, master seed, and replicate count).
-const DEFAULT_GRID_FINGERPRINT: &str = "3d0ceedd6e2ff513";
-
-fn run_default_grid(dir: &Path, backend: Option<&str>) -> (Vec<u8>, Vec<u8>) {
-    let out = dir.join("report.jsonl");
-    let cache = dir.join("cache");
-    let mut cmd = Command::new(campaign_bin());
-    cmd.arg("--out").arg(&out).arg("--cache-dir").arg(&cache);
-    match backend {
-        Some(b) => cmd.env("QNET_KNOWLEDGE", b),
-        None => cmd.env_remove("QNET_KNOWLEDGE"),
-    };
-    let status = cmd.status().expect("spawn campaign binary");
-    assert!(status.success(), "campaign run failed ({backend:?})");
-    let outcomes = cache.join(format!("outcomes-{DEFAULT_GRID_FINGERPRINT}.jsonl"));
-    assert!(
-        outcomes.is_file(),
-        "default grid fingerprint drifted: expected {}, cache dir holds {:?}",
-        outcomes.display(),
-        fs::read_dir(&cache)
-            .map(|d| d
-                .filter_map(|e| e.ok().map(|e| e.file_name()))
-                .collect::<Vec<_>>())
-            .unwrap_or_default()
-    );
-    (
-        fs::read(&out).expect("read aggregate report"),
-        fs::read(&outcomes).expect("read outcome cache"),
-    )
-}
 
 #[test]
 fn default_grid_is_byte_identical_across_knowledge_backends() {
@@ -67,8 +34,9 @@ fn default_grid_is_byte_identical_across_knowledge_backends() {
     fs::create_dir_all(&stale_dir).unwrap();
 
     // Default (stale plane with zero-age global rows) vs the legacy escape.
-    let (stale_report, stale_outcomes) = run_default_grid(&stale_dir, None);
-    let (truth_report, truth_outcomes) = run_default_grid(&truth_dir, Some("truth"));
+    let (stale_report, stale_outcomes) = run_default_grid(&stale_dir, "QNET_KNOWLEDGE", None);
+    let (truth_report, truth_outcomes) =
+        run_default_grid(&truth_dir, "QNET_KNOWLEDGE", Some("truth"));
 
     assert!(
         stale_report == truth_report,
@@ -80,9 +48,9 @@ fn default_grid_is_byte_identical_across_knowledge_backends() {
     );
     // 108 outcome lines (the full default grid), 31 aggregate lines — and no
     // staleness columns anywhere: global rows never go stale.
-    assert_eq!(stale_outcomes.iter().filter(|&&b| b == b'\n').count(), 108);
+    assert_eq!(stale_outcomes.len(), 108);
     assert_eq!(stale_report.iter().filter(|&&b| b == b'\n').count(), 31);
-    let cache_text = String::from_utf8(stale_outcomes).unwrap();
+    let cache_text = stale_outcomes.concat();
     assert!(
         !cache_text.contains("stale_row_age") && !cache_text.contains("missed_swaps"),
         "global-knowledge rows must not grow staleness columns"

@@ -4,50 +4,15 @@
 //! `EventQueue` backend runs underneath (the timing wheel by default, the
 //! legacy `BinaryHeap` via `QNET_EVENT_QUEUE=heap`). This spawns the real
 //! `campaign` binary over the **default 108-scenario paper grid** once per
-//! backend and compares every produced byte: the aggregate report and the
-//! per-scenario outcome cache. It also pins the default grid's fingerprint —
-//! the cache file name is part of the on-disk contract, and an accidental
-//! grid change would silently orphan every existing cache.
+//! backend and compares the aggregate report byte for byte and the
+//! per-scenario outcome cache line for line, sorted by scenario id (the cache
+//! is a set; its line order follows thread scheduling). It also re-pins the
+//! default grid's fingerprint through the cache file name.
 
+mod common;
+
+use common::run_default_grid;
 use std::fs;
-use std::path::Path;
-use std::process::Command;
-
-fn campaign_bin() -> &'static str {
-    env!("CARGO_BIN_EXE_campaign")
-}
-
-/// The default paper grid's fingerprint (`ScenarioGrid::fingerprint` over
-/// every axis value, master seed, and replicate count).
-const DEFAULT_GRID_FINGERPRINT: &str = "3d0ceedd6e2ff513";
-
-fn run_default_grid(dir: &Path, backend: Option<&str>) -> (Vec<u8>, Vec<u8>) {
-    let out = dir.join("report.jsonl");
-    let cache = dir.join("cache");
-    let mut cmd = Command::new(campaign_bin());
-    cmd.arg("--out").arg(&out).arg("--cache-dir").arg(&cache);
-    match backend {
-        Some(b) => cmd.env("QNET_EVENT_QUEUE", b),
-        None => cmd.env_remove("QNET_EVENT_QUEUE"),
-    };
-    let status = cmd.status().expect("spawn campaign binary");
-    assert!(status.success(), "campaign run failed ({backend:?})");
-    let outcomes = cache.join(format!("outcomes-{DEFAULT_GRID_FINGERPRINT}.jsonl"));
-    assert!(
-        outcomes.is_file(),
-        "default grid fingerprint drifted: expected {}, cache dir holds {:?}",
-        outcomes.display(),
-        fs::read_dir(&cache)
-            .map(|d| d
-                .filter_map(|e| e.ok().map(|e| e.file_name()))
-                .collect::<Vec<_>>())
-            .unwrap_or_default()
-    );
-    (
-        fs::read(&out).expect("read aggregate report"),
-        fs::read(&outcomes).expect("read outcome cache"),
-    )
-}
 
 #[test]
 fn default_grid_is_byte_identical_across_queue_backends() {
@@ -57,12 +22,15 @@ fn default_grid_is_byte_identical_across_queue_backends() {
     fs::create_dir_all(&wheel_dir).unwrap();
     fs::create_dir_all(&heap_dir).unwrap();
 
-    let (wheel_report, wheel_outcomes) = run_default_grid(&wheel_dir, Some("wheel"));
-    let (heap_report, heap_outcomes) = run_default_grid(&heap_dir, Some("heap"));
+    let (wheel_report, wheel_outcomes) =
+        run_default_grid(&wheel_dir, "QNET_EVENT_QUEUE", Some("wheel"));
+    let (heap_report, heap_outcomes) =
+        run_default_grid(&heap_dir, "QNET_EVENT_QUEUE", Some("heap"));
     // And the backend default (no env var) must match the explicit wheel.
     let default_dir = base.join("default");
     fs::create_dir_all(&default_dir).unwrap();
-    let (default_report, default_outcomes) = run_default_grid(&default_dir, None);
+    let (default_report, default_outcomes) =
+        run_default_grid(&default_dir, "QNET_EVENT_QUEUE", None);
 
     assert!(
         wheel_report == heap_report,
@@ -75,7 +43,7 @@ fn default_grid_is_byte_identical_across_queue_backends() {
     assert!(wheel_report == default_report);
     assert!(wheel_outcomes == default_outcomes);
     // 108 outcome lines (the full default grid), 31 aggregate lines.
-    assert_eq!(wheel_outcomes.iter().filter(|&&b| b == b'\n').count(), 108);
+    assert_eq!(wheel_outcomes.len(), 108);
     assert_eq!(wheel_report.iter().filter(|&&b| b == b'\n').count(), 31);
 
     fs::remove_dir_all(&base).ok();

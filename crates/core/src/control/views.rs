@@ -90,9 +90,10 @@ impl KnowledgeView {
             .fold(0.0, f64::max)
     }
 
-    /// All pairs with a nonzero *believed* count (the believed analogue of
-    /// [`Inventory::nonzero_pairs`], used to build believed entanglement
-    /// graphs for path repair).
+    /// All pairs with a nonzero *believed* count, in lexicographic pair
+    /// order (the believed analogue of [`Inventory::nonzero_pairs`]). A
+    /// full O(n²) scan: path repair reads single rows through
+    /// [`CountView::count`] instead.
     pub fn nonzero_pairs(&self) -> Vec<(NodePair, u64)> {
         all_pairs(self.n)
             .filter_map(|p| {
@@ -139,24 +140,6 @@ impl OwnerAwareView<'_> {
         } else {
             self.view.pair_age_s(pair, now)
         }
-    }
-
-    /// All pairs with a nonzero count under this overlay: ground truth for
-    /// pairs touching the owner, believed counts for everything else. Used
-    /// to build believed entanglement graphs for path repair.
-    pub fn nonzero_pairs(&self) -> Vec<(NodePair, u64)> {
-        let mut pairs: Vec<(NodePair, u64)> = self
-            .view
-            .nonzero_pairs()
-            .into_iter()
-            .filter(|(p, _)| !p.contains(self.owner))
-            .collect();
-        for &(peer, count) in self.truth.peer_counts(self.owner) {
-            if count > 0 {
-                pairs.push((NodePair::new(self.owner, peer), count));
-            }
-        }
-        pairs
     }
 }
 

@@ -7,21 +7,71 @@
 //! to the seeding) and perform just the few swaps needed to close the gap.
 //! The paper proposes this as a mitigation for the starvation effect it
 //! observed; the hybrid ablation experiment measures how much it helps.
+//!
+//! The *entanglement graph* joins `x` and `y` whenever at least `min_count`
+//! pairs `[x, y]` are stored. It is never materialised: [`entanglement_bfs`]
+//! walks each visited node's neighbour row in place — the inventory's
+//! [`Inventory::peer_counts`] under global knowledge, a scan of the believed
+//! counts under a stale control plane. Rows are walked in ascending peer id,
+//! which is exactly the order of the sorted adjacency lists of a
+//! materialised [`qnet_topology::Graph`], so the search discovers nodes in
+//! the same order as [`qnet_topology::bfs_path`] and breaks every tie the
+//! same way (smaller-id predecessor first): the same paths, the same swaps.
 
 use crate::inventory::Inventory;
-use qnet_topology::{bfs_path, Graph, NodeId, NodePair};
+use qnet_topology::{NodeId, NodePair};
+use std::collections::VecDeque;
 
-/// Build the *entanglement graph*: nodes are the network nodes, and an edge
-/// joins `x` and `y` whenever the inventory currently stores at least
-/// `min_count` pairs `[x, y]`.
-pub fn entanglement_graph(inventory: &Inventory, min_count: u64) -> Graph {
-    let mut g = Graph::with_nodes(inventory.node_count());
-    for (pair, count) in inventory.nonzero_pairs() {
-        if count >= min_count {
-            g.add_edge(pair.lo(), pair.hi());
+/// Shortest (fewest-hops) path from `pair.lo()` to `pair.hi()` over the
+/// entanglement graph on `n` nodes whose edges are the pools holding at
+/// least `min_count` pairs (an empty pool is never an edge). Returns `None`
+/// if the endpoints are not connected.
+///
+/// `neighbors(u)` yields `(v, count)` for the pools at `u`, in ascending
+/// `v`; pools below the threshold are skipped, and the search stops as
+/// soon as it reaches the target. See the module docs for why ascending
+/// order reproduces [`qnet_topology::bfs_path`]'s tie-breaks.
+pub fn entanglement_bfs<F, I>(
+    n: usize,
+    pair: NodePair,
+    min_count: u64,
+    mut neighbors: F,
+) -> Option<Vec<NodeId>>
+where
+    F: FnMut(NodeId) -> I,
+    I: IntoIterator<Item = (NodeId, u64)>,
+{
+    const UNSEEN: u32 = u32::MAX;
+    let (source, target) = (pair.lo(), pair.hi());
+    if target.index() >= n {
+        return None;
+    }
+    let min_count = min_count.max(1);
+    // `prev[v]` is v's BFS predecessor; the source points at itself, so
+    // `UNSEEN` doubles as the visited mark.
+    let mut prev = vec![UNSEEN; n];
+    prev[source.index()] = source.0;
+    let mut queue = VecDeque::from([source]);
+    while let Some(u) = queue.pop_front() {
+        for (v, count) in neighbors(u) {
+            if count < min_count || prev[v.index()] != UNSEEN {
+                continue;
+            }
+            prev[v.index()] = u.0;
+            if v == target {
+                let mut path = vec![target];
+                let mut cur = target;
+                while cur != source {
+                    cur = NodeId(prev[cur.index()]);
+                    path.push(cur);
+                }
+                path.reverse();
+                return Some(path);
+            }
+            queue.push_back(v);
         }
     }
-    g
+    None
 }
 
 /// Find the shortest path between the endpoints of `pair` in the entanglement
@@ -32,8 +82,9 @@ pub fn entanglement_path(
     pair: NodePair,
     min_count: u64,
 ) -> Option<Vec<NodeId>> {
-    let graph = entanglement_graph(inventory, min_count);
-    bfs_path(&graph, pair.lo(), pair.hi()).map(|p| p.nodes)
+    entanglement_bfs(inventory.node_count(), pair, min_count, |u| {
+        inventory.peer_counts(u).iter().copied()
+    })
 }
 
 /// Attempt the §6 hybrid repair: if the consuming pair is not directly
@@ -48,22 +99,51 @@ pub fn hybrid_repair(inventory: &mut Inventory, pair: NodePair, need: u64, k: u6
     // Require only k pairs per hop when searching; the nested executor will
     // verify exact availability (and is atomic on failure).
     let path = entanglement_path(inventory, pair, k)?;
-    if path.len() < 2 {
-        return None;
-    }
     crate::planned::execute_nested_along_path(inventory, &path, need, k)
+}
+
+/// The materialised entanglement graph the searches used to build on every
+/// repair, kept as the oracle the property tests compare the in-place BFS
+/// against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use qnet_topology::{Graph, NodePair};
+
+    /// A graph on `n` nodes with an edge for every listed pool holding at
+    /// least `min_count` pairs.
+    pub(crate) fn graph_from_pairs(
+        n: usize,
+        pairs: impl IntoIterator<Item = (NodePair, u64)>,
+        min_count: u64,
+    ) -> Graph {
+        let mut g = Graph::with_nodes(n);
+        for (pair, count) in pairs {
+            if count >= min_count {
+                g.add_edge(pair.lo(), pair.hi());
+            }
+        }
+        g
+    }
+
+    /// The entanglement graph of `inventory` at threshold `min_count`.
+    pub(crate) fn entanglement_graph(inventory: &super::Inventory, min_count: u64) -> Graph {
+        graph_from_pairs(inventory.node_count(), inventory.nonzero_pairs(), min_count)
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::entanglement_graph;
     use super::*;
+    use proptest::prelude::*;
+    use qnet_topology::bfs_path;
 
     fn pair(a: u32, b: u32) -> NodePair {
         NodePair::new(NodeId(a), NodeId(b))
     }
 
     #[test]
-    fn entanglement_graph_reflects_counts() {
+    fn reference_entanglement_graph_reflects_counts() {
         let mut inv = Inventory::new(4);
         inv.add_pair(pair(0, 1)).unwrap();
         inv.add_pair(pair(0, 1)).unwrap();
@@ -120,5 +200,36 @@ mod tests {
         let before = inv.clone();
         assert!(hybrid_repair(&mut inv, pair(0, 3), 1, 2).is_none());
         assert_eq!(inv, before);
+    }
+
+    proptest! {
+        /// The in-place search finds exactly the path `bfs_path` finds over
+        /// the materialised entanglement graph: same reachability, same
+        /// hop count, same tie-broken nodes.
+        #[test]
+        fn entanglement_path_matches_bfs_over_the_reference_graph(
+            n in 2usize..41,
+            pools in collection::vec((0usize..40, 0usize..40, 1u64..5), 0..160),
+            min_count in 1u64..4,
+            ends in (0usize..40, 0usize..40),
+        ) {
+            let mut inv = Inventory::new(n);
+            for (a, b, copies) in pools {
+                let (a, b) = (a % n, b % n);
+                if a == b {
+                    continue;
+                }
+                let p = NodePair::new(NodeId::from(a), NodeId::from(b));
+                for _ in 0..copies {
+                    inv.add_pair(p).unwrap();
+                }
+            }
+            let (a, b) = (ends.0 % n, ends.1 % n);
+            prop_assume!(a != b);
+            let p = NodePair::new(NodeId::from(a), NodeId::from(b));
+            let expected = bfs_path(&entanglement_graph(&inv, min_count), p.lo(), p.hi())
+                .map(|r| r.nodes);
+            prop_assert_eq!(entanglement_path(&inv, p, min_count), expected);
+        }
     }
 }

@@ -762,8 +762,9 @@ impl Inventory {
     ///
     /// Assembled from the peer index in O(N + occupied pools) — the same
     /// order a full scan of the N²/2 count matrix would produce, without
-    /// touching it (the entanglement-graph build runs this on every hybrid
-    /// repair attempt).
+    /// touching it. A whole-inventory snapshot for reports and tests; hot
+    /// paths (the balancer scan, hybrid path repair) walk single rows
+    /// through [`Inventory::peer_counts`] instead.
     pub fn nonzero_pairs(&self) -> Vec<(NodePair, u64)> {
         let mut pairs = Vec::new();
         for (lo, peers) in self.peer_index.iter().enumerate() {

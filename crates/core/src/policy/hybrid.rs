@@ -2,12 +2,12 @@
 //! [`SwapPolicy`].
 
 use super::{oblivious::ObliviousPolicy, PolicyCtx, PolicyId, RequestAction, SwapPolicy};
-use crate::balancer::{BalancerPolicy, SwapCandidate};
-use crate::control::ControlPlane;
-use crate::hybrid::hybrid_repair;
+use crate::balancer::{BalancerPolicy, CountView, SwapCandidate};
+use crate::control::{ControlPlane, OwnerAwareView};
+use crate::hybrid::{entanglement_bfs, hybrid_repair};
 use crate::planned::execute_nested_along_path;
 use crate::workload::ConsumptionRequest;
-use qnet_topology::{bfs_path, Graph, NodeId, NodePair};
+use qnet_topology::{NodeId, NodePair};
 
 /// Oblivious balancing plus consumer-side repair: when the head request is
 /// not directly satisfiable, search for a shortest path over the *existing*
@@ -52,27 +52,16 @@ impl SwapPolicy for HybridPolicy {
             let consumer = request.pair.lo();
             let (path, age) = {
                 let view = ctl.view(consumer).for_owner(consumer, ctx.inventory);
-                let mut believed = Graph::with_nodes(ctx.inventory.node_count());
-                for (pair, count) in view.nonzero_pairs() {
-                    if count >= k {
-                        believed.add_edge(pair.lo(), pair.hi());
-                    }
-                }
-                match bfs_path(&believed, request.pair.lo(), request.pair.hi()) {
-                    None => return RequestAction::Wait,
-                    Some(p) => {
-                        let age = p
-                            .nodes
-                            .windows(2)
-                            .map(|w| view.pair_age_s(NodePair::new(w[0], w[1]), ctx.now))
-                            .fold(0.0, f64::max);
-                        (p.nodes, age)
-                    }
-                }
+                let n = ctx.inventory.node_count();
+                let Some(path) = believed_path(&view, n, request.pair, k) else {
+                    return RequestAction::Wait;
+                };
+                let age = path
+                    .windows(2)
+                    .map(|w| view.pair_age_s(NodePair::new(w[0], w[1]), ctx.now))
+                    .fold(0.0, f64::max);
+                (path, age)
             };
-            if path.len() < 2 {
-                return RequestAction::Wait;
-            }
             ctx.telemetry.record_age(age);
             return match execute_nested_along_path(ctx.inventory, &path, k, k) {
                 Some(swaps) => RequestAction::Repaired(swaps),
@@ -89,13 +78,37 @@ impl SwapPolicy for HybridPolicy {
     }
 }
 
+/// Shortest path over the entanglement graph the consumer *believes in*:
+/// each visited node's row is read from `view` (exact for the owner's own
+/// pools, stale for remote-remote pairs) by scanning its peers in ascending
+/// id: O(visited · n), never more than the O(n²) scan of every believed
+/// pair that materialising the graph would take.
+fn believed_path(
+    view: &OwnerAwareView<'_>,
+    n: usize,
+    pair: NodePair,
+    k: u64,
+) -> Option<Vec<NodeId>> {
+    entanglement_bfs(n, pair, k, |u| {
+        (0..n)
+            .map(NodeId::from)
+            .filter(move |&v| v != u)
+            .map(move |v| (v, view.count(NodePair::new(u, v))))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::NetworkConfig;
+    use crate::control::KnowledgeView;
+    use crate::hybrid::reference::graph_from_pairs;
+    use crate::inventory::Inventory;
     use crate::test_support::{pair, run_world};
     use crate::workload::Workload;
-    use qnet_topology::Topology;
+    use proptest::prelude::*;
+    use qnet_sim::SimTime;
+    use qnet_topology::{bfs_path, Topology};
 
     #[test]
     fn repairs_from_seeded_pairs() {
@@ -105,5 +118,55 @@ mod tests {
         assert!(world.is_done());
         let m = world.metrics();
         assert_eq!(m.satisfied.len(), 1);
+    }
+
+    proptest! {
+        /// The stale-plane search finds exactly the path `bfs_path` finds
+        /// over the materialised believed graph: remote-remote pairs from
+        /// the stale view, the owner's own pools from ground truth.
+        #[test]
+        fn believed_path_matches_bfs_over_the_reference_graph(
+            n in 2usize..41,
+            rows in collection::vec((0usize..40, 0u64..100, collection::vec(0u64..4, 40)), 0..8),
+            pools in collection::vec((0usize..40, 0usize..40, 1u64..4), 0..60),
+            owner in 0usize..40,
+            min_count in 1u64..4,
+            ends in (0usize..40, 0usize..40),
+        ) {
+            let mut known = KnowledgeView::new(n);
+            for (row_owner, read_at, row) in rows {
+                let read_at = SimTime::from_secs_f64(read_at as f64);
+                known.install_row(NodeId::from(row_owner % n), read_at, &row[..n]);
+            }
+            let mut truth = Inventory::new(n);
+            for (a, b, copies) in pools {
+                let (a, b) = (a % n, b % n);
+                if a == b {
+                    continue;
+                }
+                for _ in 0..copies {
+                    truth.add_pair(NodePair::new(NodeId::from(a), NodeId::from(b))).unwrap();
+                }
+            }
+            let owner = NodeId::from(owner % n);
+            let (a, b) = (ends.0 % n, ends.1 % n);
+            prop_assume!(a != b);
+            let p = NodePair::new(NodeId::from(a), NodeId::from(b));
+
+            let believed = known
+                .nonzero_pairs()
+                .into_iter()
+                .filter(|(q, _)| !q.contains(owner))
+                .chain(
+                    truth
+                        .peer_counts(owner)
+                        .iter()
+                        .map(|&(peer, count)| (NodePair::new(owner, peer), count)),
+                );
+            let expected = bfs_path(&graph_from_pairs(n, believed, min_count), p.lo(), p.hi())
+                .map(|r| r.nodes);
+            let view = known.for_owner(owner, &truth);
+            prop_assert_eq!(believed_path(&view, n, p, min_count), expected);
+        }
     }
 }
