@@ -18,6 +18,27 @@
 //! swaps drives the inventory toward a max-min fair allocation: no pool's
 //! count can be increased without decreasing one that is already smaller
 //! (see `run_to_quiescence` and its tests).
+//!
+//! # The scan
+//!
+//! The inequality is evaluated in integers. For each peer `y` whose slack
+//! `s_y = C_x(y) − D_{x,y}` is at least one (up to a `1e-12` tolerance
+//! that absorbs f64 rounding in a fractional `D`), the scan stores the **cap**
+//! `⌊s_y + 1e-12⌋ − 1`; a beneficiary count `t` is then preferable iff
+//! `t ≤ min(cap_y, cap_y')`. This is exactly the f64 test
+//! `t + 1 ≤ min(s_y, s_y') + 1e-12`: rounding is monotone, so adding the
+//! tolerance to the minimum equals the minimum of the tolerated slacks,
+//! and for an integer `t` the bound `t + 1 ≤ s` holds exactly when
+//! `t ≤ ⌊s⌋ − 1`.
+//!
+//! Candidates come in ascending beneficiary order (the rich peers ascend by
+//! id), so a strict `t < best` keeps the smallest pair among equal counts
+//! and no separate tie-break is needed. That comparison runs first, since
+//! once a poor beneficiary is found it rejects most later candidates.
+//!
+//! Beneficiary counts are read through [`CountView::row`] where the view
+//! stores them densely: one contiguous slice per left peer, indexed by the
+//! right peer, with no per-pair canonicalisation or offset arithmetic.
 
 use crate::inventory::Inventory;
 use qnet_topology::{NodeId, NodePair};
@@ -25,13 +46,14 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 thread_local! {
-    /// Reusable candidate buffer for [`BalancerPolicy::find_preferable_swap`].
-    /// The scan runs once per swap-scan event (millions of times per
-    /// simulation) and its candidate list is usually empty or tiny; keeping
-    /// one buffer per thread makes the steady-state scan allocation-free.
+    /// Reusable rich-peer buffer for [`BalancerPolicy::find_preferable_swap`]:
+    /// `(peer, cap)` per peer with slack for at least one swap. The scan runs
+    /// once per swap-scan event (millions of times per simulation) and the
+    /// buffer can hold every peer of a densely stocked node; keeping one
+    /// buffer per thread makes the steady-state scan allocation-free.
     /// The buffer is `take`n for the duration of a scan rather than borrowed,
     /// so caller-supplied closures may re-enter the balancer safely.
-    static RICH_SCRATCH: RefCell<Vec<(NodeId, f64)>> = const { RefCell::new(Vec::new()) };
+    static RICH_SCRATCH: RefCell<Vec<(NodeId, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A read-only view of pair counts. The ground-truth [`Inventory`] implements
@@ -40,12 +62,16 @@ thread_local! {
 pub trait CountView {
     /// The viewed count of Bell pairs between the endpoints of `pair`.
     fn count(&self, pair: NodePair) -> u64;
-}
 
-impl CountView for Inventory {
-    #[inline]
-    fn count(&self, pair: NodePair) -> u64 {
-        Inventory::count(self, pair)
+    /// The viewed counts of every pair `(lo, hi)` with `hi > lo`, as one
+    /// contiguous slice: the count of `(lo, hi)` is `row[hi − lo − 1]`
+    /// and must equal `count` for that pair. Views that store counts in a
+    /// dense [`qnet_topology::PairMatrix`] return its
+    /// [`row`](qnet_topology::PairMatrix::row); views that compute each
+    /// count (an age discount, an overlay) have no such slice and return
+    /// `None`, the default, so readers fall back to [`CountView::count`].
+    fn row(&self, _lo: NodeId) -> Option<&[u64]> {
+        None
     }
 }
 
@@ -82,9 +108,15 @@ impl BalancerPolicy {
     ///   be a stale gossip view.
     /// * `overhead` maps a pair to its distillation overhead `D`.
     ///
+    /// Each peer's slack becomes an exact integer cap (see the module docs),
+    /// so a candidate costs one count load and integer compares: first
+    /// against the best count so far, then against both caps. The left
+    /// peer's beneficiary counts are fetched once as a [`CountView::row`]
+    /// slice when the view has one, and pair by pair otherwise.
+    ///
     /// Generic (rather than `&dyn`) over the remote view and overhead map so
     /// the million-scan hot path monomorphizes: the beneficiary probe in the
-    /// candidate loop inlines straight into a count-matrix load instead of a
+    /// candidate loop inlines straight into a slice load instead of a
     /// virtual call per pair.
     pub fn find_preferable_swap<R, F>(
         &self,
@@ -107,59 +139,58 @@ impl BalancerPolicy {
         // `C_x(peer) − D ≥ 1`. Filtering first makes a scan O(peers) plus
         // O(rich²) instead of O(peers²) — on an internet-scale graph a hub's
         // peer list runs to hundreds, but almost every pool holds a single
-        // pair, so `rich` stays tiny. The counts ride inline in the peer
-        // index, so this pass is one sequential walk with no matrix probes.
-        // The filter is exact (no candidate that survives it is judged
-        // differently), so results are bit-identical to the exhaustive scan.
+        // pair, so `rich` stays tiny. (On a densely stocked node every peer
+        // is rich, and the candidate loop below is the scan's whole cost.)
+        // The counts ride inline in the peer index, so this pass is one
+        // sequential walk with no matrix probes. The filter is exact (no
+        // candidate that survives it is judged differently), so results are
+        // bit-identical to the exhaustive scan.
         let mut rich = RICH_SCRATCH.with(|cell| std::mem::take(&mut *cell.borrow_mut()));
         rich.clear();
         for &(peer, count) in peers {
-            let pair = NodePair::new(node, peer);
-            let margin = count as f64 - overhead(pair);
-            if margin + 1e-12 >= 1.0 {
-                rich.push((peer, margin));
+            let slack = count as f64 - overhead(NodePair::new(node, peer)) + 1e-12;
+            if slack >= 1.0 {
+                // `as` truncates, which is `⌊slack⌋` for a slack of at least
+                // one, so the cap cannot underflow.
+                rich.push((peer, slack as u64 - 1));
             }
         }
 
-        let mut best: Option<SwapCandidate> = None;
-        'candidates: for (i, &(left, left_margin)) in rich.iter().enumerate() {
-            for &(right, right_margin) in &rich[i + 1..] {
-                let beneficiary = NodePair::new(left, right);
-                let target_count = remote.count(beneficiary);
-                let preferable =
-                    (target_count as f64 + 1.0) <= left_margin.min(right_margin) + 1e-12;
-                if !preferable {
-                    continue;
-                }
-                let candidate = SwapCandidate {
-                    repeater: node,
-                    left,
-                    right,
-                    target_count,
+        // `u64::MAX` is never a preferable count (every cap is smaller), so
+        // it stands for "nothing found yet".
+        let mut best_count = u64::MAX;
+        let mut best: Option<(NodeId, NodeId)> = None;
+        'candidates: for (i, &(left, left_cap)) in rich.iter().enumerate() {
+            let rights = &rich[i + 1..];
+            if rights.is_empty() {
+                break;
+            }
+            let row = remote.row(left);
+            let base = left.index() + 1;
+            for &(right, right_cap) in rights {
+                let t = match row {
+                    Some(row) => row[right.index() - base],
+                    None => remote.count(NodePair::new(left, right)),
                 };
-                let better = match &best {
-                    None => true,
-                    Some(b) => {
-                        target_count < b.target_count
-                            || (target_count == b.target_count
-                                && candidate.beneficiary() < b.beneficiary())
-                    }
-                };
-                if better {
-                    best = Some(candidate);
-                    // `rich` ascends by node id, so the (left, right) loop
-                    // enumerates beneficiaries in ascending `NodePair` order:
-                    // a preferable candidate at the count floor can never be
-                    // displaced by a later one (which ties on count at best
-                    // and always loses the beneficiary tie-break).
-                    if target_count == 0 {
+                if t < best_count && t <= left_cap.min(right_cap) {
+                    best_count = t;
+                    best = Some((left, right));
+                    // Nothing can beat a preferable candidate at the count
+                    // floor: later ones tie at best and lose the beneficiary
+                    // tie-break.
+                    if t == 0 {
                         break 'candidates;
                     }
                 }
             }
         }
         RICH_SCRATCH.with(|cell| *cell.borrow_mut() = rich);
-        best
+        best.map(|(left, right)| SwapCandidate {
+            repeater: node,
+            left,
+            right,
+            target_count: best_count,
+        })
     }
 
     /// Execute one balancing scan at `node`: if a preferable swap exists,
@@ -221,9 +252,83 @@ impl BalancerPolicy {
     }
 }
 
+/// The f64 scan the integer-cap loop replaced, kept as the equality
+/// reference for [`BalancerPolicy::find_preferable_swap`]: one canonical
+/// [`CountView::count`] probe per candidate pair, an f64 margin test, then
+/// an explicit (count, beneficiary) comparison against the best so far.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{CountView, SwapCandidate};
+    use crate::inventory::Inventory;
+    use qnet_topology::{NodeId, NodePair};
+
+    pub(crate) fn find_preferable_swap<R, F>(
+        local: &Inventory,
+        remote: &R,
+        node: NodeId,
+        overhead: &F,
+    ) -> Option<SwapCandidate>
+    where
+        R: CountView + ?Sized,
+        F: Fn(NodePair) -> f64 + ?Sized,
+    {
+        let peers = local.peer_counts(node);
+        if peers.len() < 2 {
+            return None;
+        }
+        let mut rich: Vec<(NodeId, f64)> = Vec::new();
+        for &(peer, count) in peers {
+            let pair = NodePair::new(node, peer);
+            let margin = count as f64 - overhead(pair);
+            if margin + 1e-12 >= 1.0 {
+                rich.push((peer, margin));
+            }
+        }
+
+        let mut best: Option<SwapCandidate> = None;
+        'candidates: for (i, &(left, left_margin)) in rich.iter().enumerate() {
+            for &(right, right_margin) in &rich[i + 1..] {
+                let beneficiary = NodePair::new(left, right);
+                let target_count = remote.count(beneficiary);
+                let preferable =
+                    (target_count as f64 + 1.0) <= left_margin.min(right_margin) + 1e-12;
+                if !preferable {
+                    continue;
+                }
+                let candidate = SwapCandidate {
+                    repeater: node,
+                    left,
+                    right,
+                    target_count,
+                };
+                let better = match &best {
+                    None => true,
+                    Some(b) => {
+                        target_count < b.target_count
+                            || (target_count == b.target_count
+                                && candidate.beneficiary() < b.beneficiary())
+                    }
+                };
+                if better {
+                    best = Some(candidate);
+                    if target_count == 0 {
+                        break 'candidates;
+                    }
+                }
+            }
+        }
+        best
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::KnowledgeView;
+    use crate::policy::gossip_aware::AgeDiscountedView;
+    use proptest::prelude::*;
+    use qnet_sim::SimTime;
+    use qnet_topology::pairs::all_pairs;
 
     fn pair(a: u32, b: u32) -> NodePair {
         NodePair::new(NodeId(a), NodeId(b))
@@ -388,16 +493,71 @@ mod tests {
         assert_eq!(swaps.len(), 3);
     }
 
+    /// Uniform overheads at and beside integer boundaries, where the
+    /// integer caps and the f64 margins could disagree if either were off
+    /// by one tolerance step.
+    const UNIFORM_D: [f64; 7] = [1.0, 1.5, 2.0, 2.25, 3.0, 1.0 - 1e-13, 2.0 + 1e-13];
+
+    /// A remote view that believes every pair holds the same count (no
+    /// dense rows: the balancer probes it pair by pair).
+    struct Constant(u64);
+    impl CountView for Constant {
+        fn count(&self, _pair: NodePair) -> u64 {
+            self.0
+        }
+    }
+
+    proptest! {
+        /// The integer-cap row scan chooses exactly the swap the f64
+        /// reference chooses, at every node, for every overhead and every
+        /// kind of remote view: the inventory and a `KnowledgeView` (dense
+        /// rows), an `AgeDiscountedView` and a constant view (per-pair
+        /// counts).
+        #[test]
+        fn find_preferable_swap_matches_the_reference(
+            n in 2usize..31,
+            cells in collection::vec((0u64..13, 0u8..4), 435),
+            density in 1u8..5,
+            believed in collection::vec(0u64..13, 900),
+            constant in 0u64..13,
+            d_choice in 0usize..8,
+        ) {
+            let mut inv = Inventory::new(n);
+            for (pair, &(count, keep)) in all_pairs(n).zip(&cells) {
+                if keep < density {
+                    for _ in 0..count {
+                        inv.add_pair(pair).unwrap();
+                    }
+                }
+            }
+            let mut known = KnowledgeView::new(n);
+            for owner in 0..n {
+                let read_at = SimTime::from_secs_f64(0.3 * owner as f64);
+                let row = &believed[owner * 30..owner * 30 + n];
+                known.install_row(NodeId::from(owner), read_at, row);
+            }
+            let discounted = AgeDiscountedView::new(&known, SimTime::from_secs_f64(5.0), 2.0);
+            let overhead = move |p: NodePair| match UNIFORM_D.get(d_choice) {
+                Some(&d) => d,
+                None => 1.0 + ((p.lo().index() * 3 + p.hi().index()) % 5) as f64 * 0.5,
+            };
+            let policy = BalancerPolicy;
+            for node in (0..n).map(NodeId::from) {
+                let views: [&dyn CountView; 4] = [&inv, &known, &discounted, &Constant(constant)];
+                for view in views {
+                    prop_assert_eq!(
+                        policy.find_preferable_swap(&inv, view, node, &overhead),
+                        reference::find_preferable_swap(&inv, view, node, &overhead)
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn stale_remote_view_changes_the_decision() {
         // A gossip view that believes pair (0,2) already has many pairs makes
         // the repeater skip the swap even though ground truth is zero.
-        struct Pessimist;
-        impl CountView for Pessimist {
-            fn count(&self, _pair: NodePair) -> u64 {
-                100
-            }
-        }
         let policy = BalancerPolicy;
         let mut inv = Inventory::new(3);
         for _ in 0..5 {
@@ -408,7 +568,7 @@ mod tests {
             .find_preferable_swap(&inv, &inv, NodeId(1), &uniform(1.0))
             .is_some());
         assert!(policy
-            .find_preferable_swap(&inv, &Pessimist, NodeId(1), &uniform(1.0))
+            .find_preferable_swap(&inv, &Constant(100), NodeId(1), &uniform(1.0))
             .is_none());
     }
 }

@@ -119,6 +119,10 @@ impl CountView for KnowledgeView {
     fn count(&self, pair: NodePair) -> u64 {
         *self.counts.get(pair)
     }
+
+    fn row(&self, lo: NodeId) -> Option<&[u64]> {
+        Some(self.counts.row(lo))
+    }
 }
 
 /// [`KnowledgeView`] overlay that reads pairs containing the owning node

@@ -28,6 +28,7 @@
 //! Serialization intentionally covers only the count-space state (the
 //! legacy byte layout); the lot store is runtime-only.
 
+use crate::balancer::CountView;
 use crate::physics::{ConsumeOrder, PhysicsModel};
 use qnet_quantum::decoherence::DecoherenceModel;
 use qnet_quantum::swap::swap_werner_fidelity;
@@ -916,6 +917,18 @@ impl Inventory {
     /// The minimum pair count over a set of pairs (used by balance tests).
     pub fn min_count_over(&self, pairs: &[NodePair]) -> Option<u64> {
         pairs.iter().map(|&p| self.count(p)).min()
+    }
+}
+
+impl CountView for Inventory {
+    #[inline]
+    fn count(&self, pair: NodePair) -> u64 {
+        Inventory::count(self, pair)
+    }
+
+    #[inline]
+    fn row(&self, lo: NodeId) -> Option<&[u64]> {
+        Some(self.counts.row(lo))
     }
 }
 

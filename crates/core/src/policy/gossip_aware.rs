@@ -28,7 +28,9 @@ use qnet_topology::{NodeId, NodePair};
 pub const DEFAULT_TAU_S: f64 = 2.0;
 
 /// [`KnowledgeView`] overlay that decays each believed count by the age of
-/// the rows it came from: `⌊count · exp(-age/τ)⌋`.
+/// the rows it came from: `⌊count · exp(-age/τ)⌋`. Each count is computed
+/// on demand, so the view has no dense [`CountView::row`] and the balancer
+/// probes it pair by pair.
 #[derive(Debug, Clone, Copy)]
 pub struct AgeDiscountedView<'a> {
     view: &'a KnowledgeView,

@@ -116,13 +116,17 @@ proptest! {
 
     /// Whenever the balancer proposes a swap, the §4 preferability inequality
     /// holds and the swap is executable; applying it never leaves a pool
-    /// negative and benefits the poorest candidate pool.
+    /// negative and benefits the poorest candidate pool. `D` runs over the
+    /// quarters 1, 1.25, …, 3, integer and fractional; a swap draws `⌈D⌉`
+    /// pairs from each side.
     #[test]
     fn proposed_swaps_satisfy_the_preferability_rule(
         n in 3usize..7,
         stock in proptest::collection::vec((0usize..7, 0usize..7, 1u64..6), 1..20),
-        d in 1u64..3,
+        quarters in 4u32..13,
     ) {
+        let d = f64::from(quarters) / 4.0;
+        let cost = d.ceil() as u64;
         let mut inv = Inventory::new(n);
         for (a, b, count) in stock {
             if let Some(p) = pair_from(n, a, b) {
@@ -132,7 +136,7 @@ proptest! {
             }
         }
         let policy = BalancerPolicy;
-        let overhead = move |_: NodePair| d as f64;
+        let overhead = move |_: NodePair| d;
         for node in (0..n).map(NodeId::from) {
             if let Some(c) = policy.find_preferable_swap(&inv, &inv, node, &overhead) {
                 let left_pool = inv.count(NodePair::new(node, c.left));
@@ -140,11 +144,11 @@ proptest! {
                 let target = inv.count(c.beneficiary());
                 prop_assert_eq!(target, c.target_count);
                 prop_assert!(
-                    (target + 1) as f64 <= (left_pool as f64 - d as f64).min(right_pool as f64 - d as f64) + 1e-9
+                    (target + 1) as f64 <= (left_pool as f64 - d).min(right_pool as f64 - d) + 1e-9
                 );
                 // Executable with the ⌈D⌉ draw on both sides.
                 let mut clone = inv.clone();
-                prop_assert!(clone.apply_swap(c.repeater, c.left, c.right, d, d).is_ok());
+                prop_assert!(clone.apply_swap(c.repeater, c.left, c.right, cost, cost).is_ok());
                 prop_assert_eq!(clone.count(c.beneficiary()), target + 1);
             }
         }

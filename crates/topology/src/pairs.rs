@@ -120,6 +120,21 @@ impl<T> PairMatrix<T> {
         i * self.n - i * (i + 1) / 2 + (j - i - 1)
     }
 
+    /// The entries of every pair `(lo, hi)` with `hi > lo`, as one
+    /// contiguous slice of the row-major upper triangle: the entry for
+    /// `(lo, hi)` is `row[hi − lo − 1]`, and the last node's row is empty.
+    /// A scan over many pairs sharing their smaller endpoint reads this
+    /// slice once instead of canonicalising and locating each pair.
+    ///
+    /// # Panics
+    /// Panics if `lo` is not a node of this matrix.
+    pub fn row(&self, lo: NodeId) -> &[T] {
+        let i = lo.index();
+        assert!(i < self.n, "row {lo} out of range for {} nodes", self.n);
+        let start = i * self.n - i * (i + 1) / 2;
+        &self.data[start..start + (self.n - i - 1)]
+    }
+
     /// Immutable access to the entry for `pair`.
     pub fn get(&self, pair: NodePair) -> &T {
         &self.data[self.offset(pair)]
@@ -246,6 +261,30 @@ mod tests {
             vec![NodePair::new(NodeId(0), NodeId(2))]
         );
         assert!((m.total() - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pair_matrix_rows_are_the_upper_triangle() {
+        let n = 6;
+        let mut m: PairMatrix<u64> = PairMatrix::new(n);
+        for (k, p) in all_pairs(n).enumerate() {
+            m.set(p, k as u64);
+        }
+        for lo in 0..n {
+            let row = m.row(NodeId::from(lo));
+            assert_eq!(row.len(), n - lo - 1);
+            for hi in lo + 1..n {
+                let p = NodePair::new(NodeId::from(lo), NodeId::from(hi));
+                assert_eq!(row[hi - lo - 1], *m.get(p));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn pair_matrix_row_out_of_range_panics() {
+        let m: PairMatrix<u64> = PairMatrix::new(3);
+        let _ = m.row(NodeId(3));
     }
 
     #[test]

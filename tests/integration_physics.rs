@@ -5,7 +5,11 @@
 //!    (`tests/data/golden_ideal_campaign.jsonl` was captured from the
 //!    `campaign` binary immediately before the physics subsystem landed),
 //!    and the default 108-scenario grid keeps its pre-physics fingerprint —
-//!    so legacy caches and shard files stay valid.
+//!    so legacy caches and shard files stay valid. A second capture,
+//!    `tests/data/golden_gossip_campaign.jsonl`, pins the stale-knowledge
+//!    paths the ideal golden never reaches: balancer scans over gossip
+//!    `KnowledgeView`s and over the gossip-aware age-discounted view, at
+//!    integer and fractional distillation overheads.
 //! 2. **Decoherent campaigns** populate the `fidelity_*` columns and
 //!    expired-pair counters, and stay deterministic across worker-thread
 //!    counts and shard partitions.
@@ -17,6 +21,7 @@ use qnet::campaign::{
     aggregate, merge_shards, read_shard, run_campaign, run_campaign_cached,
     run_scenarios_with_progress, shard_to_string, to_jsonl_string, OutcomeCache, ShardSpec,
 };
+use qnet::core::classical::KnowledgeModel;
 use qnet::core::physics::{ConsumeOrder, PhysicsModel};
 use qnet::prelude::*;
 use qnet_topology::Topology;
@@ -41,6 +46,31 @@ fn golden_grid() -> ScenarioGrid {
         .with_horizon_s(600.0)
 }
 
+/// The exact grid `campaign --topologies cycle:7,torus:3 --modes
+/// oblivious,hybrid,gossip-aware --dist 1,1.5,2 --knowledge
+/// global,gossip:2:0.5 --requests 6 --replicates 2 --horizon 1000 --seed 3`
+/// built when the gossip golden file was captured.
+fn golden_gossip_grid() -> ScenarioGrid {
+    ScenarioGrid::new(3)
+        .with_topologies(vec![
+            Topology::Cycle { nodes: 7 },
+            Topology::TorusGrid { side: 3 },
+        ])
+        .with_modes(vec![
+            PolicyId::OBLIVIOUS,
+            PolicyId::HYBRID,
+            PolicyId::GOSSIP_AWARE,
+        ])
+        .with_distillations(vec![1.0, 1.5, 2.0])
+        .with_knowledge(vec![
+            KnowledgeModel::Global,
+            KnowledgeModel::parse("gossip:2:0.5").unwrap(),
+        ])
+        .with_workloads(vec![WorkloadSpec::closed_loop(0, 10, 6)])
+        .with_replicates(2)
+        .with_horizon_s(1_000.0)
+}
+
 fn decoherent_grid() -> ScenarioGrid {
     ScenarioGrid::new(11)
         .with_topologies(vec![Topology::Cycle { nodes: 7 }])
@@ -63,6 +93,19 @@ fn ideal_campaign_reproduces_the_prephysics_golden_bytes() {
     assert_eq!(
         jsonl, golden,
         "ideal-physics campaign bytes drifted from the pre-physics capture"
+    );
+}
+
+#[test]
+fn gossip_campaign_reproduces_the_golden_bytes() {
+    let grid = golden_gossip_grid();
+    assert_eq!(grid.scenario_count(), 72);
+    let report = aggregate(&grid, &run_campaign(&grid, &RunnerConfig::default()));
+    let jsonl = to_jsonl_string(&report);
+    let golden = include_str!("data/golden_gossip_campaign.jsonl");
+    assert_eq!(
+        jsonl, golden,
+        "stale-knowledge campaign bytes drifted from the golden capture"
     );
 }
 
