@@ -9,7 +9,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qnet_core::classical::KnowledgeModel;
 use qnet_core::control::{PropagationDelays, StaleControl};
 use qnet_core::experiment::{Experiment, ExperimentConfig};
-use qnet_core::inventory::InventoryBackend;
 use qnet_core::policy::PolicyId;
 use qnet_core::workload::WorkloadSpec;
 use qnet_core::{BalancerPolicy, Inventory, NetworkConfig, PhysicsModel};
@@ -108,8 +107,7 @@ fn open_loop_million(c: &mut Criterion) {
     // the pending queue bounded and pushes the metrics recorder past its
     // exact-sample threshold into sketch mode — the bench exercises the
     // timing wheel, the lazy arrival stream, and the streaming recorder
-    // together. The `cycle25_heap` row pins the `BinaryHeap` fallback via
-    // `QNET_EVENT_QUEUE` for a same-binary wheel-vs-heap comparison.
+    // together.
     let mut group = c.benchmark_group("open_loop_million");
     let cycle_config = |requests: u64| {
         let nodes = 25usize;
@@ -149,24 +147,15 @@ fn open_loop_million(c: &mut Criterion) {
             |b, config| b.iter(|| Experiment::new(*config).run().satisfied_requests),
         );
     }
-    // Heap fallback at 10⁵ events only: the acceptance bar is "wheel no
-    // slower than heap at this scale", not a full heap sweep.
-    {
-        group.sample_size(5);
-        let config = cycle_config(100_000);
-        std::env::set_var("QNET_EVENT_QUEUE", "heap");
-        group.bench_with_input(
-            BenchmarkId::new("cycle25_heap", 100_000u64),
-            &config,
-            |b, config| b.iter(|| Experiment::new(*config).run().satisfied_requests),
-        );
-        std::env::remove_var("QNET_EVENT_QUEUE");
-    }
+    // The scale-free rows time balancing churn, not service: at the default
+    // generation and scan rates the oblivious discipline satisfies 1 of the
+    // 100 208 arrivals of the 10⁵ run (seed 7), while the balancer performs
+    // ~3.6·10⁵ swaps.
     for &requests in &[100_000u64, 1_000_000] {
         group.sample_size(if requests >= 1_000_000 { 2 } else { 3 });
         let config = scale_free_config(requests);
         group.bench_with_input(
-            BenchmarkId::new("scale_free1000_wheel", requests),
+            BenchmarkId::new("scale_free1000_churn", requests),
             &config,
             |b, config| b.iter(|| Experiment::new(*config).run().metrics.arrived_requests),
         );
@@ -231,52 +220,47 @@ fn path_oracle_cold_vs_memoized_bfs(c: &mut Criterion) {
 }
 
 fn inventory_hot_scan(c: &mut Criterion) {
-    // The balancer's swap-scan inner loop on a hot 25-node world, per
-    // inventory backend: every node scans once and executes its preferable
-    // swap against a well-stocked decoherent inventory. This is the
-    // per-event cost that runs millions of times in the open-loop stress
-    // path — pool pushes, FIFO takes, and slot recycling all included.
+    // The balancer's swap-scan inner loop on a hot 25-node world: every
+    // node scans once and executes its preferable swap against a
+    // well-stocked decoherent inventory. This is the per-event cost that
+    // runs millions of times in the open-loop stress path — pool pushes,
+    // FIFO takes, and slot recycling all included.
     let mut group = c.benchmark_group("inventory_hot_scan");
     group.sample_size(30);
     let n = 25usize;
-    for (label, backend) in [
-        ("flat", InventoryBackend::Flat),
-        ("btree", InventoryBackend::BTree),
-    ] {
-        let mut stocked = Inventory::with_backend(n, backend);
-        stocked.enable_lot_tracking(&PhysicsModel::decoherent(5.0));
-        // Deep cycle-edge pools plus a sprinkling of mid-range pairs so
-        // every node has several rich peers and scans find work.
-        for i in 0..n as u32 {
-            let next = (i + 1) % n as u32;
-            for _ in 0..6 {
-                stocked
-                    .add_pair(NodePair::new(NodeId(i), NodeId(next)))
-                    .unwrap();
-            }
+    let mut stocked = Inventory::new(n);
+    stocked.enable_lot_tracking(&PhysicsModel::decoherent(5.0));
+    // Deep cycle-edge pools plus a sprinkling of mid-range pairs so
+    // every node has several rich peers and scans find work.
+    for i in 0..n as u32 {
+        let next = (i + 1) % n as u32;
+        for _ in 0..6 {
             stocked
-                .add_pair(NodePair::new(NodeId(i), NodeId((i + 7) % n as u32)))
+                .add_pair(NodePair::new(NodeId(i), NodeId(next)))
                 .unwrap();
         }
-        group.bench_with_input(
-            BenchmarkId::new("scan_and_swap", label),
-            &stocked,
-            |b, stocked| {
-                b.iter(|| {
-                    let mut inv = stocked.clone();
-                    let policy = BalancerPolicy;
-                    let overhead = |_: NodePair| 1.0;
-                    let mut swaps = 0u32;
-                    for node in (0..n).map(NodeId::from) {
-                        if policy.scan_and_swap(&mut inv, node, &overhead).is_some() {
-                            swaps += 1;
-                        }
-                    }
-                    swaps
-                })
-            },
-        );
+        stocked
+            .add_pair(NodePair::new(NodeId(i), NodeId((i + 7) % n as u32)))
+            .unwrap();
     }
+    group.bench_with_input(
+        BenchmarkId::new("scan_and_swap", "flat"),
+        &stocked,
+        |b, stocked| {
+            b.iter(|| {
+                let mut inv = stocked.clone();
+                let policy = BalancerPolicy;
+                let overhead = |_: NodePair| 1.0;
+                let mut swaps = 0u32;
+                for node in (0..n).map(NodeId::from) {
+                    if policy.scan_and_swap(&mut inv, node, &overhead).is_some() {
+                        swaps += 1;
+                    }
+                }
+                swaps
+            })
+        },
+    );
     group.finish();
 }
 
@@ -289,12 +273,8 @@ fn knowledge_view(c: &mut Criterion) {
     // per-node views — the work the world does around each gossip tick,
     // with no simulation attached.
     //
-    // `gossip_run` is the same 25-node closed-loop experiment per knowledge
-    // backend: the latency-aware stale plane (default) vs the legacy
-    // synchronous refresh (`QNET_KNOWLEDGE=truth`), a same-binary
-    // comparison mirroring the `cycle25_heap` row. The two backends do
-    // different simulated work (stale rows change decisions), so compare
-    // each row against its own baseline, not against each other.
+    // `gossip_run` is a 25-node closed-loop experiment under 0.5 s gossip:
+    // the plane's cost composed into a full run.
     let mut group = c.benchmark_group("knowledge_view");
     group.sample_size(20);
     {
@@ -348,13 +328,6 @@ fn knowledge_view(c: &mut Criterion) {
             &config,
             |b, config| b.iter(|| Experiment::new(*config).run().satisfied_requests),
         );
-        std::env::set_var("QNET_KNOWLEDGE", "truth");
-        group.bench_with_input(
-            BenchmarkId::new("gossip_run", "truth"),
-            &config,
-            |b, config| b.iter(|| Experiment::new(*config).run().satisfied_requests),
-        );
-        std::env::remove_var("QNET_KNOWLEDGE");
     }
     group.finish();
 }

@@ -1,62 +1,81 @@
-//! Differential determinism tests over the knowledge backends.
+//! End-to-end checks of the real `campaign` binary.
 //!
-//! Global knowledge runs through the stale control plane by default (every
-//! row refreshed synchronously, ages pinned at zero); the legacy truth
-//! backend survives behind `QNET_KNOWLEDGE=truth`. The two must be
-//! indistinguishable at the byte level: this spawns the real `campaign`
-//! binary over the **default 108-scenario paper grid** once per backend and
-//! compares the aggregate report byte for byte and the per-scenario outcome
-//! cache line for line, sorted by scenario id (the cache is a set; its line
-//! order follows thread scheduling). It also re-pins the default grid's
-//! fingerprint (adding the knowledge axis must not have moved it).
+//! The first two tests run the **default 108-scenario paper grid** with an
+//! outcome cache and re-pin its on-disk contract: the cache file is named
+//! after the grid fingerprint, holds one line per scenario, the report has
+//! its usual 31 lines, and global knowledge never grows staleness columns.
 //!
-//! The second test is the stale-knowledge determinism smoke: a genuinely
+//! The third test is the stale-knowledge determinism smoke: a genuinely
 //! gossiping grid (nonzero refresh period, so rows age and swaps can miss)
 //! must be byte-identical cold, warm from its own outcome cache, and
 //! recombined from a 2-way shard split.
 
-mod common;
-
-use common::{campaign_bin, run_default_grid};
 use std::fs;
 use std::path::Path;
 use std::process::Command;
 
-#[test]
-fn default_grid_is_byte_identical_across_knowledge_backends() {
-    let base = std::env::temp_dir().join(format!(
-        "qnet-knowledge-backend-diff-{}",
-        std::process::id()
-    ));
-    let truth_dir = base.join("truth");
-    let stale_dir = base.join("stale");
-    fs::create_dir_all(&truth_dir).unwrap();
-    fs::create_dir_all(&stale_dir).unwrap();
+fn campaign_bin() -> &'static str {
+    env!("CARGO_BIN_EXE_campaign")
+}
 
-    // Default (stale plane with zero-age global rows) vs the legacy escape.
-    let (stale_report, stale_outcomes) = run_default_grid(&stale_dir, "QNET_KNOWLEDGE", None);
-    let (truth_report, truth_outcomes) =
-        run_default_grid(&truth_dir, "QNET_KNOWLEDGE", Some("truth"));
+/// The default paper grid's fingerprint (`ScenarioGrid::fingerprint` over
+/// every axis value, master seed, and replicate count). The cache file name
+/// is part of the on-disk contract, so an accidental grid change would
+/// silently orphan every existing cache.
+const DEFAULT_GRID_FINGERPRINT: &str = "3d0ceedd6e2ff513";
 
-    assert!(
-        stale_report == truth_report,
-        "aggregate report differs between stale and truth knowledge backends"
-    );
-    assert!(
-        stale_outcomes == truth_outcomes,
-        "outcome cache differs between stale and truth knowledge backends"
-    );
-    // 108 outcome lines (the full default grid), 31 aggregate lines — and no
-    // staleness columns anywhere: global rows never go stale.
-    assert_eq!(stale_outcomes.len(), 108);
-    assert_eq!(stale_report.iter().filter(|&&b| b == b'\n').count(), 31);
-    let cache_text = stale_outcomes.concat();
-    assert!(
-        !cache_text.contains("stale_row_age") && !cache_text.contains("missed_swaps"),
-        "global-knowledge rows must not grow staleness columns"
-    );
+/// Run the default grid with an outcome cache under a fresh directory
+/// named after `tag`; return the outcome-cache text (from the file named
+/// after the grid fingerprint) and the aggregate report bytes.
+fn run_default_grid(tag: &str) -> (String, Vec<u8>) {
+    let base = std::env::temp_dir().join(format!("qnet-cli-{tag}-{}", std::process::id()));
+    fs::create_dir_all(&base).unwrap();
+    let out = base.join("report.jsonl");
+    let cache = base.join("cache");
+    let status = Command::new(campaign_bin())
+        .arg("--out")
+        .arg(&out)
+        .arg("--cache-dir")
+        .arg(&cache)
+        .status()
+        .expect("spawn campaign binary");
+    assert!(status.success(), "default-grid campaign run failed");
 
+    let outcomes = cache.join(format!("outcomes-{DEFAULT_GRID_FINGERPRINT}.jsonl"));
+    assert!(
+        outcomes.is_file(),
+        "default grid fingerprint drifted: expected {}, cache dir holds {:?}",
+        outcomes.display(),
+        fs::read_dir(&cache)
+            .map(|d| d
+                .filter_map(|e| e.ok().map(|e| e.file_name()))
+                .collect::<Vec<_>>())
+            .unwrap_or_default()
+    );
+    let cache_text = fs::read_to_string(&outcomes).expect("read outcome cache");
+    let report = fs::read(&out).expect("read aggregate report");
     fs::remove_dir_all(&base).ok();
+    (cache_text, report)
+}
+
+#[test]
+fn default_grid_run_keeps_its_fingerprint_and_shape() {
+    let (cache_text, report) = run_default_grid("default");
+    // 108 outcome lines (the full default grid), 31 aggregate lines.
+    assert_eq!(cache_text.lines().count(), 108);
+    assert_eq!(report.iter().filter(|&&b| b == b'\n').count(), 31);
+}
+
+#[test]
+fn default_grid_global_rows_have_no_staleness_columns() {
+    let (cache_text, report) = run_default_grid("global-rows");
+    let report = String::from_utf8(report).unwrap();
+    for text in [&cache_text, &report] {
+        assert!(
+            !text.contains("stale_row_age") && !text.contains("missed_swaps"),
+            "global-knowledge rows must not grow staleness columns"
+        );
+    }
 }
 
 /// The gossip flags for the staleness smoke: small enough to run in

@@ -69,11 +69,10 @@ pub enum KnowledgeModel {
     /// `C_x(y)`. Each inventory change is broadcast to all other nodes.
     Global,
     /// The §6 BitTorrent-like relaxation: nodes periodically pull the count
-    /// rows of `peers_per_refresh` rotating peers. Under the default stale
-    /// control plane ([`crate::control`]) the pulled rows arrive after the
-    /// classical propagation delay and policies decide on the resulting
-    /// stale views; `QNET_KNOWLEDGE=truth` reverts to the legacy
-    /// message-counting-only behaviour (instant refresh at every scan).
+    /// rows of `peers_per_refresh` rotating peers. The stale control plane
+    /// ([`crate::control`]) delivers the pulled rows after the classical
+    /// propagation delay, and policies decide on the resulting stale
+    /// views.
     Gossip {
         /// How many peers' count rows are refreshed per exchange.
         peers_per_refresh: usize,
@@ -214,8 +213,8 @@ impl KnowledgeModel {
         }
     }
 
-    /// `true` for models whose runs consult stale believed counts under
-    /// the default control-plane backend (i.e. everything but `Global`).
+    /// `true` for models whose runs consult stale believed counts (i.e.
+    /// everything but `Global`).
     pub fn is_stale(&self) -> bool {
         !matches!(self, KnowledgeModel::Global)
     }

@@ -1,16 +1,14 @@
 //! Latency-aware gossip: rotating row pulls with in-flight deliveries.
 //!
-//! [`StaleControl`] is the event-driven successor to the synchronous
-//! [`crate::gossip::GossipState`]. Each node runs a periodic
-//! `GossipExchange`: it pulls the full buffer-count rows of
-//! `peers_per_refresh` rotating peers (the same deterministic cursor
-//! rotation as the legacy state, so `QNET_KNOWLEDGE=truth` reproduces the
-//! old refresh order exactly), but the pulled rows are *snapshots in
-//! flight* — they arrive after the classical propagation delay of the
-//! node↔peer fibre path plus a fixed processing delay, and are installed
-//! into the puller's [`KnowledgeView`] only once matured. Between refreshes
-//! of a row, the believed count drifts from truth; that drift is the
-//! staleness the §6 curves measure.
+//! [`StaleControl`] models the paper's §6 BitTorrent-like relaxation. Each
+//! node runs a periodic `GossipExchange`: it pulls the full buffer-count
+//! rows of `peers_per_refresh` rotating peers (a deterministic round-robin
+//! cursor: every node pulls `0, 1, 2, …` mod n, skipping itself), but the
+//! pulled rows are *snapshots in flight* — they arrive after the classical
+//! propagation delay of the node↔peer fibre path plus a fixed processing
+//! delay, and are installed into the puller's [`KnowledgeView`] only once
+//! matured. Between refreshes of a row, the believed count drifts from
+//! truth; that drift is the staleness the §6 curves measure.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -129,12 +127,10 @@ impl StaleControl {
     /// Run one gossip exchange for `node` at `now`: snapshot the rows of
     /// its next `peers_per_refresh` rotating peers from ground truth and
     /// put them in flight towards `node`'s view. Returns the number of
-    /// row-transfer messages issued (the classical-overhead unit the
-    /// legacy model counts per scan).
+    /// row-transfer messages issued (the classical-overhead unit).
     ///
-    /// The peer rotation is byte-for-byte the legacy
-    /// [`crate::gossip::GossipState::refresh`] rotation — only the
-    /// delivery timing differs between the two backends.
+    /// Peers rotate round-robin: each node's cursor starts at node 0, skips
+    /// the node itself, and advances one peer per pulled row.
     pub fn exchange(&mut self, now: SimTime, node: NodeId, truth: &Inventory) -> u64 {
         let n = self.node_count();
         if n <= 1 {
@@ -236,36 +232,37 @@ mod tests {
         assert_eq!(ctl.view(NodeId(2)).row_refreshed_at(NodeId(0)), t0);
     }
 
+    /// The explicit cursor rule, which every gossip golden pins: node `i`
+    /// pulls peers `0, 1, 2, …` mod n, skipping `i`, `peers_per_refresh`
+    /// per exchange, and each pulled row is truth's row as read at the
+    /// exchange.
     #[test]
     fn rotation_matches_the_legacy_gossip_state() {
-        let n = 5;
-        let mut ctl = control(n, 2, 0.25);
-        let mut legacy = crate::gossip::GossipState::new(n, 2);
+        let (n, peers) = (5, 2);
+        let mut ctl = control(n, peers, 0.25);
         let inv = seeded_inventory(n);
-        // Drive both backends through several refresh rounds and compare
-        // the matured stale views against the instantly-refreshed legacy
-        // views: same rotation, same rows.
-        let mut now = SimTime::ZERO;
+        let rotation = |i: usize| (0..).map(move |k| k % n).filter(move |&p| p != i);
         for round in 0..4 {
+            let now = SimTime::from_secs_f64(1.0 + round as f64);
             for i in 0..n {
-                let node = NodeId::from(i);
-                ctl.exchange(now, node, &inv);
-                legacy.refresh(node, &inv);
+                assert_eq!(ctl.exchange(now, NodeId::from(i), &inv), peers as u64);
             }
-            now = SimTime::from_secs_f64(0.25 * (round + 1) as f64);
-        }
-        // Truth never mutates, so once everything matures the stale views
-        // must agree with the legacy views row for row.
-        ctl.deliver_matured(SimTime::from_secs_f64(10.0));
-        for i in 0..n {
-            let node = NodeId::from(i);
-            let legacy_view = legacy.view_of(node);
-            for p in qnet_topology::pairs::all_pairs(n) {
-                assert_eq!(
-                    ctl.view(node).count(p),
-                    legacy_view.count(p),
-                    "node {i} pair {p:?}"
-                );
+            // Every row matures well within the round.
+            ctl.deliver_matured(now + SimDuration::from_secs_f64(0.5));
+            for i in 0..n {
+                let view = ctl.view(NodeId::from(i));
+                let pulled: Vec<usize> = (0..n)
+                    .filter(|&p| view.row_refreshed_at(NodeId::from(p)) == now)
+                    .collect();
+                let mut expected: Vec<usize> =
+                    rotation(i).skip(round * peers).take(peers).collect();
+                expected.sort_unstable();
+                assert_eq!(pulled, expected, "node {i} round {round}");
+                for &p in &pulled {
+                    for other in (0..n).filter(|&o| o != p) {
+                        assert_eq!(view.count(pair(p, other)), inv.count(pair(p, other)));
+                    }
+                }
             }
         }
     }

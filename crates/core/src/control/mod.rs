@@ -11,12 +11,8 @@
 //! on stale rows can miss when truth has drifted — a distinct failure
 //! class with its own observer hook, trace record, and run metrics.
 //!
-//! Backend selection follows the standing runtime-backend pattern
-//! (`QNET_EVENT_QUEUE`, `QNET_INVENTORY`, ...): the latency-aware stale
-//! plane is the default for gossip knowledge, and `QNET_KNOWLEDGE=truth`
-//! reverts to the legacy synchronous [`GossipState`] (per-scan instant
-//! refresh against truth, no staleness). [`KnowledgeModel::Global`] never
-//! builds a control plane at all and stays byte-identical everywhere.
+//! [`KnowledgeModel::Global`] never builds a control plane at all and stays
+//! byte-identical everywhere.
 //!
 //! [`KnowledgeModel::Global`]: crate::classical::KnowledgeModel::Global
 
@@ -28,37 +24,7 @@ pub use gossip::StaleControl;
 pub use latency::{PropagationDelays, DEFAULT_HOP_KM, FIBER_KM_PER_S, PROCESSING_DELAY_S};
 pub use views::{KnowledgeView, OwnerAwareView};
 
-use crate::gossip::GossipState;
 use qnet_topology::NodePair;
-
-/// Which control-plane backend a gossip-knowledge world runs.
-#[derive(Debug)]
-pub enum ControlPlane {
-    /// Legacy synchronous gossip (`QNET_KNOWLEDGE=truth`): views refresh
-    /// instantly against ground truth at every swap scan and decisions
-    /// execute immediately — no staleness, no misses.
-    Legacy(GossipState),
-    /// The latency-aware stale plane (default): event-driven exchanges,
-    /// in-flight rows, believed-count decisions, deferred execution.
-    Stale(StaleControl),
-}
-
-impl ControlPlane {
-    /// The stale backend, if that is what this plane runs.
-    pub fn as_stale(&self) -> Option<&StaleControl> {
-        match self {
-            ControlPlane::Stale(s) => Some(s),
-            ControlPlane::Legacy(_) => None,
-        }
-    }
-}
-
-/// `true` when gossip knowledge should run the stale event-driven plane
-/// (the default); `QNET_KNOWLEDGE=truth` selects the legacy synchronous
-/// backend instead, mirroring `QNET_EVENT_QUEUE` / `QNET_INVENTORY`.
-pub fn stale_backend_from_env() -> bool {
-    !matches!(std::env::var("QNET_KNOWLEDGE").as_deref(), Ok("truth"))
-}
 
 /// Scratch pad the world hands policies (via
 /// [`crate::policy::PolicyCtx`]) to report what their stale decisions

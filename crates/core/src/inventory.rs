@@ -35,7 +35,7 @@ use qnet_quantum::swap::swap_werner_fidelity;
 use qnet_sim::{SimDuration, SimTime};
 use qnet_topology::{NodeId, NodePair, PairMatrix};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Reasons an inventory mutation can be refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -70,44 +70,15 @@ pub struct PairLot {
     pub coherence_time_s: f64,
 }
 
-/// Which data structures back the lot store's pools and link overrides.
-///
-/// Selected per inventory at construction: explicitly via
-/// [`Inventory::with_backend`], or for [`Inventory::new`] from the
-/// `QNET_INVENTORY` environment variable (`flat` / `btree`; unset or
-/// unrecognized means the default flat backend). Both backends keep pools
-/// in the exact same per-pool order and walk them in the exact same
-/// lexicographic [`NodePair`] order, so switching backends never changes
-/// simulation output — only its speed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum InventoryBackend {
-    /// Contiguous slot-map pools addressed by a dense triangular pair index
-    /// (default): O(1) pool addressing, cache-friendly ordered walks.
-    #[default]
-    Flat,
-    /// `BTreeMap`-keyed pools — the historical implementation, kept as a
-    /// runtime fallback and differential oracle.
-    BTree,
-}
-
-/// Backend requested by the `QNET_INVENTORY` environment variable
-/// (consulted per inventory creation so tests can toggle it): `btree` /
-/// `b-tree` / `btreemap` select the legacy maps, anything else (including
-/// unset) the flat backend.
-fn backend_from_env() -> InventoryBackend {
-    match std::env::var("QNET_INVENTORY") {
-        Ok(v) if matches!(v.as_str(), "btree" | "b-tree" | "btreemap") => InventoryBackend::BTree,
-        _ => InventoryBackend::Flat,
-    }
-}
-
 /// The sentinel marking "no pool allocated" in [`FlatPools::slot_of`].
 const NO_SLOT: u32 = u32::MAX;
 
-/// Flat pool storage: a dense triangular `pair → slot` table into a slab of
-/// pool queues, plus a sorted occupied-pair list so ordered whole-store
-/// walks (cutoff sweeps, earliest-lot queries) visit pools in exactly the
-/// lexicographic `NodePair` order the `BTreeMap` backend iterates in.
+/// The lot store's pool storage: a dense triangular `pair → slot` table
+/// into a slab of pool queues, plus a sorted occupied-pair list so ordered
+/// whole-store walks (cutoff sweeps, earliest-lot queries) visit pools in
+/// lexicographic `NodePair` order — the order the original dense matrix
+/// scan used, and the order a `BTreeMap<NodePair, _>` iterates in (the
+/// reference the unit tests check it against).
 ///
 /// Swap products entangle arbitrary node pairs, not just generation-graph
 /// edges, so the slot table is **pair**-dense (N·(N−1)/2 entries) rather
@@ -174,9 +145,11 @@ impl FlatPools {
         self.slab[slot as usize].push_back(lot);
     }
 
-    /// Return `pair`'s pool slot for draining, or `NO_SLOT` when absent.
-    fn slot(&self, pair: NodePair) -> u32 {
-        self.slot_of[self.tri(pair)]
+    fn pool_mut(&mut self, pair: NodePair) -> Option<&mut VecDeque<PairLot>> {
+        match self.slot_of[self.tri(pair)] {
+            NO_SLOT => None,
+            slot => Some(&mut self.slab[slot as usize]),
+        }
     }
 
     /// Recycle `pair`'s slot if its pool has emptied.
@@ -191,85 +164,75 @@ impl FlatPools {
             }
         }
     }
-}
-
-/// Pool/override storage behind the lot store, one variant per
-/// [`InventoryBackend`]. Every method pair is order-identical across the
-/// variants — same per-pool FIFO order, same lexicographic whole-store walk
-/// — which is what lets `QNET_INVENTORY` switch backends without moving a
-/// single golden byte.
-#[derive(Debug, Clone)]
-enum PoolStore {
-    BTree {
-        pools: BTreeMap<NodePair, VecDeque<PairLot>>,
-        link_overrides: BTreeMap<NodePair, (f64, f64)>,
-    },
-    Flat(FlatPools),
-}
-
-impl PoolStore {
-    fn pool(&self, pair: NodePair) -> Option<&VecDeque<PairLot>> {
-        match self {
-            PoolStore::BTree { pools, .. } => pools.get(&pair),
-            PoolStore::Flat(flat) => flat.pool(pair),
-        }
-    }
-
-    fn push(&mut self, pair: NodePair, lot: PairLot) {
-        match self {
-            PoolStore::BTree { pools, .. } => pools.entry(pair).or_default().push_back(lot),
-            PoolStore::Flat(flat) => flat.push(pair, lot),
-        }
-    }
 
     fn link_override(&self, pair: NodePair) -> Option<(f64, f64)> {
-        match self {
-            PoolStore::BTree { link_overrides, .. } => link_overrides.get(&pair).copied(),
-            PoolStore::Flat(flat) => flat
-                .link_overrides
-                .binary_search_by_key(&pair, |&(p, _)| p)
-                .ok()
-                .map(|pos| flat.link_overrides[pos].1),
-        }
+        self.link_overrides
+            .binary_search_by_key(&pair, |&(p, _)| p)
+            .ok()
+            .map(|pos| self.link_overrides[pos].1)
     }
 
     fn set_link_overrides(&mut self, links: impl IntoIterator<Item = (NodePair, (f64, f64))>) {
-        match self {
-            PoolStore::BTree { link_overrides, .. } => {
-                *link_overrides = links.into_iter().collect()
-            }
-            PoolStore::Flat(flat) => {
-                flat.link_overrides = links.into_iter().collect();
-                flat.link_overrides.sort_unstable_by_key(|&(p, _)| p);
+        self.link_overrides = links.into_iter().collect();
+        self.link_overrides.sort_unstable_by_key(|&(p, _)| p);
+    }
+
+    /// Creation time of the oldest lot across all pools.
+    fn earliest(&self) -> Option<SimTime> {
+        self.occupied
+            .iter()
+            .flat_map(|&pair| self.pool(pair).and_then(|pool| pool.front()))
+            .map(|lot| lot.created_at)
+            .min()
+    }
+
+    /// Pop every lot with `created_at + cutoff <= clock`, returning one
+    /// entry per lot in lexicographic pair order, then recycle the slots of
+    /// the pools the sweep emptied.
+    fn purge(&mut self, cutoff: SimDuration, clock: SimTime) -> Vec<NodePair> {
+        let mut expired = Vec::new();
+        for k in 0..self.occupied.len() {
+            let pair = self.occupied[k];
+            let slot = self.slot_of[self.tri(pair)] as usize;
+            let pool = &mut self.slab[slot];
+            while let Some(front) = pool.front() {
+                if front.created_at + cutoff <= clock {
+                    pool.pop_front();
+                    expired.push(pair);
+                } else {
+                    break;
+                }
             }
         }
+        let mut k = 0;
+        while k < self.occupied.len() {
+            let pair = self.occupied[k];
+            let t = self.tri(pair);
+            let slot = self.slot_of[t];
+            if self.slab[slot as usize].is_empty() {
+                self.slot_of[t] = NO_SLOT;
+                self.free.push(slot);
+                self.occupied.remove(k);
+            } else {
+                k += 1;
+            }
+        }
+        expired
     }
 }
 
-impl PartialEq for PoolStore {
+impl PartialEq for FlatPools {
     /// Logical equality: same occupied pools with the same lots in the same
     /// order, and the same overrides — independent of slab layout, so two
     /// stores that converged through different histories still compare
-    /// equal, and `BTree == Flat` whenever their contents agree.
+    /// equal.
     fn eq(&self, other: &Self) -> bool {
-        let overrides = |store: &Self| -> Vec<(NodePair, (f64, f64))> {
-            match store {
-                PoolStore::BTree { link_overrides, .. } => {
-                    link_overrides.iter().map(|(&p, &v)| (p, v)).collect()
-                }
-                PoolStore::Flat(flat) => flat.link_overrides.clone(),
-            }
-        };
-        let occupied = |store: &Self| -> Vec<NodePair> {
-            match store {
-                PoolStore::BTree { pools, .. } => pools.keys().copied().collect(),
-                PoolStore::Flat(flat) => flat.occupied.clone(),
-            }
-        };
-        let (a, b) = (occupied(self), occupied(other));
-        a == b
-            && overrides(self) == overrides(other)
-            && a.iter().all(|&pair| self.pool(pair) == other.pool(pair))
+        self.occupied == other.occupied
+            && self.link_overrides == other.link_overrides
+            && self
+                .occupied
+                .iter()
+                .all(|&pair| self.pool(pair) == other.pool(pair))
     }
 }
 
@@ -279,17 +242,17 @@ impl PartialEq for PoolStore {
 ///
 /// Pools hold only *occupied* pairs, so whole-store walks (cutoff sweeps,
 /// earliest-lot queries) cost O(stored pairs) instead of O(N²) — the
-/// difference between |N| = 49 and |N| = 10³ — and both [`PoolStore`]
-/// backends walk them in exactly the lexicographic `all_pairs` order the
-/// original dense matrix scanned in, so expiry event order (and with it
-/// every decoherent golden result) is backend-independent.
+/// difference between |N| = 49 and |N| = 10³ — and [`FlatPools`] walks
+/// them in exactly the lexicographic `all_pairs` order the original dense
+/// matrix scanned in, so expiry event order (and with it every decoherent
+/// golden result) is unchanged.
 #[derive(Debug, Clone, PartialEq)]
 struct LotStore {
     decoherence: DecoherenceModel,
     initial_fidelity: f64,
     order: ConsumeOrder,
     clock: SimTime,
-    pools: PoolStore,
+    pools: FlatPools,
 }
 
 /// Fidelity of `lot` at `clock`, decayed under the lot's own memory
@@ -303,19 +266,13 @@ fn aged_fidelity_at(clock: SimTime, lot: &PairLot) -> f64 {
 }
 
 impl LotStore {
-    fn new(physics: &PhysicsModel, n: usize, backend: InventoryBackend) -> Self {
+    fn new(physics: &PhysicsModel, n: usize) -> Self {
         LotStore {
             decoherence: physics.decoherence_model(),
             initial_fidelity: physics.initial_fidelity(),
             order: physics.consume_order(),
             clock: SimTime::ZERO,
-            pools: match backend {
-                InventoryBackend::BTree => PoolStore::BTree {
-                    pools: BTreeMap::new(),
-                    link_overrides: BTreeMap::new(),
-                },
-                InventoryBackend::Flat => PoolStore::Flat(FlatPools::new(n)),
-            },
+            pools: FlatPools::new(n),
         }
     }
 
@@ -360,43 +317,24 @@ impl LotStore {
         let order = self.order;
         let mut best = 0.25f64;
         let mut weakest_t2 = f64::INFINITY;
-        {
-            let pool = match &mut self.pools {
-                PoolStore::BTree { pools, .. } => pools.entry(pair).or_default(),
-                PoolStore::Flat(flat) => {
-                    let slot = flat.slot(pair);
-                    assert!(
-                        slot != NO_SLOT || count == 0,
-                        "lot store out of sync with counts for {pair}"
-                    );
-                    if slot == NO_SLOT {
-                        return (best, weakest_t2);
-                    }
-                    &mut flat.slab[slot as usize]
-                }
-            };
-            assert!(
-                pool.len() as u64 >= count,
-                "lot store out of sync with counts for {pair}"
-            );
-            for _ in 0..count {
-                let lot = match order {
-                    ConsumeOrder::OldestFirst => pool.pop_front(),
-                    ConsumeOrder::NewestFirst => pool.pop_back(),
-                }
-                .expect("length checked");
-                best = best.max(aged_fidelity_at(clock, &lot));
-                weakest_t2 = weakest_t2.min(lot.coherence_time_s);
+        let Some(pool) = self.pools.pool_mut(pair) else {
+            assert!(count == 0, "lot store out of sync with counts for {pair}");
+            return (best, weakest_t2);
+        };
+        assert!(
+            pool.len() as u64 >= count,
+            "lot store out of sync with counts for {pair}"
+        );
+        for _ in 0..count {
+            let lot = match order {
+                ConsumeOrder::OldestFirst => pool.pop_front(),
+                ConsumeOrder::NewestFirst => pool.pop_back(),
             }
+            .expect("length checked");
+            best = best.max(aged_fidelity_at(clock, &lot));
+            weakest_t2 = weakest_t2.min(lot.coherence_time_s);
         }
-        match &mut self.pools {
-            PoolStore::BTree { pools, .. } => {
-                if pools.get(&pair).is_some_and(|pool| pool.is_empty()) {
-                    pools.remove(&pair);
-                }
-            }
-            PoolStore::Flat(flat) => flat.release_if_empty(pair),
-        }
+        self.pools.release_if_empty(pair);
         (best, weakest_t2)
     }
 }
@@ -405,7 +343,7 @@ impl LotStore {
 ///
 /// Serialization (manual impls below) covers exactly the legacy count-space
 /// fields; the runtime-only lot store is rebuilt per run, never persisted.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Inventory {
     counts: PairMatrix<u64>,
     /// Number of stored qubit halves per node (each stored pair contributes
@@ -425,24 +363,6 @@ pub struct Inventory {
     /// matrix — the structure that makes |N| ≈ 10³ swap scans tractable.
     /// Runtime state derived from `counts`; never serialized.
     peer_index: Vec<Vec<(NodeId, u64)>>,
-    /// Which pool storage the lot store uses when enabled. Runtime
-    /// configuration; never serialized.
-    backend: InventoryBackend,
-}
-
-impl PartialEq for Inventory {
-    /// Logical equality: the backend tag is a representation choice, not
-    /// state — a flat and a B-tree inventory that hold the same pairs (and
-    /// lots, via the pool store's own logical equality) compare equal.
-    fn eq(&self, other: &Self) -> bool {
-        self.counts == other.counts
-            && self.node_load == other.node_load
-            && self.buffer_limit == other.buffer_limit
-            && self.total_added == other.total_added
-            && self.total_removed == other.total_removed
-            && self.lots == other.lots
-            && self.peer_index == other.peer_index
-    }
 }
 
 impl Serialize for Inventory {
@@ -485,20 +405,13 @@ impl Deserialize for Inventory {
             total_removed: Deserialize::from_value(field("total_removed"))?,
             lots: None,
             peer_index,
-            backend: backend_from_env(),
         })
     }
 }
 
 impl Inventory {
-    /// An empty inventory over `n` nodes with unlimited buffers, on the
-    /// environment-selected backend (flat unless `QNET_INVENTORY=btree`).
+    /// An empty inventory over `n` nodes with unlimited buffers.
     pub fn new(n: usize) -> Self {
-        Self::with_backend(n, backend_from_env())
-    }
-
-    /// An empty inventory on an explicitly chosen pool backend.
-    pub fn with_backend(n: usize, backend: InventoryBackend) -> Self {
         Inventory {
             counts: PairMatrix::new(n),
             node_load: vec![0; n],
@@ -507,13 +420,7 @@ impl Inventory {
             total_removed: 0,
             lots: None,
             peer_index: vec![Vec::new(); n],
-            backend,
         }
-    }
-
-    /// Which pool backend the lot store uses (or would use) when enabled.
-    pub fn backend(&self) -> InventoryBackend {
-        self.backend
     }
 
     /// Attach the age/fidelity lot store for decoherent physics. A no-op for
@@ -527,7 +434,7 @@ impl Inventory {
             0,
             "enable lot tracking on an empty inventory"
         );
-        self.lots = Some(LotStore::new(physics, self.node_count(), self.backend));
+        self.lots = Some(LotStore::new(physics, self.node_count()));
     }
 
     /// Attach per-edge `(pair, birth_fidelity, coherence_time_s)` overrides
@@ -590,20 +497,7 @@ impl Inventory {
     /// the store is absent or empty). Drives cutoff-sweep scheduling. Walks
     /// only the occupied pools.
     pub fn earliest_lot_time(&self) -> Option<SimTime> {
-        let store = self.lots.as_ref()?;
-        match &store.pools {
-            PoolStore::BTree { pools, .. } => pools
-                .values()
-                .flat_map(|pool| pool.front())
-                .map(|lot| lot.created_at)
-                .min(),
-            PoolStore::Flat(flat) => flat
-                .occupied
-                .iter()
-                .flat_map(|&pair| flat.pool(pair).and_then(|pool| pool.front()))
-                .map(|lot| lot.created_at)
-                .min(),
-        }
+        self.lots.as_ref()?.pools.earliest()
     }
 
     /// Discard every lot whose storage age has reached `cutoff` at the
@@ -615,54 +509,9 @@ impl Inventory {
         let Some(store) = &mut self.lots else {
             return Vec::new();
         };
-        let clock = store.clock;
-        let mut expired = Vec::new();
-        // Both backends walk occupied pools in lexicographic NodePair order
-        // — the same order the old dense matrix scan produced.
-        match &mut store.pools {
-            PoolStore::BTree { pools, .. } => {
-                for (&pair, pool) in pools.iter_mut() {
-                    while let Some(front) = pool.front() {
-                        if front.created_at + cutoff <= clock {
-                            pool.pop_front();
-                            expired.push(pair);
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                pools.retain(|_, pool| !pool.is_empty());
-            }
-            PoolStore::Flat(flat) => {
-                for k in 0..flat.occupied.len() {
-                    let pair = flat.occupied[k];
-                    let slot = flat.slot_of[flat.tri(pair)] as usize;
-                    let pool = &mut flat.slab[slot];
-                    while let Some(front) = pool.front() {
-                        if front.created_at + cutoff <= clock {
-                            pool.pop_front();
-                            expired.push(pair);
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                // Recycle the slots of pools the sweep emptied.
-                let mut k = 0;
-                while k < flat.occupied.len() {
-                    let pair = flat.occupied[k];
-                    let t = flat.tri(pair);
-                    let slot = flat.slot_of[t];
-                    if flat.slab[slot as usize].is_empty() {
-                        flat.slot_of[t] = NO_SLOT;
-                        flat.free.push(slot);
-                        flat.occupied.remove(k);
-                    } else {
-                        k += 1;
-                    }
-                }
-            }
-        }
+        // Occupied pools are walked in lexicographic NodePair order — the
+        // same order the old dense matrix scan produced.
+        let expired = store.pools.purge(cutoff, store.clock);
         for &pair in &expired {
             let count = self.counts.get_mut(pair);
             *count -= 1;
@@ -935,6 +784,8 @@ impl CountView for Inventory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn pair(a: u32, b: u32) -> NodePair {
         NodePair::new(NodeId(a), NodeId(b))
@@ -1312,96 +1163,93 @@ mod tests {
         assert_eq!(inv.min_count_over(&[]), None);
     }
 
-    #[test]
-    fn env_var_selects_backend_per_creation() {
-        // The env var is consulted at construction, like QNET_EVENT_QUEUE.
-        // Racing env-reading tests are harmless here: both backends are
-        // behaviorally identical, which is this module's own invariant.
-        std::env::set_var("QNET_INVENTORY", "btree");
-        assert_eq!(Inventory::new(3).backend(), InventoryBackend::BTree);
-        std::env::set_var("QNET_INVENTORY", "flat");
-        assert_eq!(Inventory::new(3).backend(), InventoryBackend::Flat);
-        std::env::remove_var("QNET_INVENTORY");
-        assert_eq!(Inventory::new(3).backend(), InventoryBackend::Flat);
-        // Explicit construction ignores the environment.
-        assert_eq!(
-            Inventory::with_backend(3, InventoryBackend::BTree).backend(),
-            InventoryBackend::BTree
-        );
+    /// The pair `{a mod n, b mod n}`, if its endpoints differ.
+    fn pair_in(n: usize, a: usize, b: usize) -> Option<NodePair> {
+        let (a, b) = (a % n, b % n);
+        (a != b).then(|| NodePair::new(NodeId::from(a), NodeId::from(b)))
     }
 
-    /// Deterministic pseudo-random stream (SplitMix-style) for the
-    /// differential test below — no RNG dependency inside the unit tests.
-    fn mix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    /// The differential proof the flat backend rests on: identical mutation
-    /// sequences drive both backends through identical observable states —
-    /// counts, lot order, purge results, and serialized bytes.
-    #[test]
-    fn flat_and_btree_backends_stay_identical() {
-        for seed in [3_u64, 17, 42] {
-            let n = 8;
-            let mut flat = Inventory::with_backend(n, InventoryBackend::Flat);
-            let mut btree = Inventory::with_backend(n, InventoryBackend::BTree);
-            let physics = PhysicsModel::decoherent(6.0);
-            flat.enable_lot_tracking(&physics);
-            btree.enable_lot_tracking(&physics);
-            let mut state = seed;
-            for step in 0..400 {
-                let now = SimTime::from_secs(step / 10);
-                flat.set_clock(now);
-                btree.set_clock(now);
-                let a = (mix(&mut state) % n as u64) as u32;
-                let b = (mix(&mut state) % (n as u64 - 1)) as u32;
-                let b = if b >= a { b + 1 } else { b };
-                let p = pair(a, b);
-                match mix(&mut state) % 10 {
-                    0..=4 => {
-                        assert_eq!(flat.add_pair(p), btree.add_pair(p));
+    proptest! {
+        /// The flat store against a B-tree reference store
+        /// (`BTreeMap<NodePair, VecDeque<PairLot>>`): pushes, takes from
+        /// the front and the back, cutoff purges and override lookups give
+        /// the same lots in the same order; the sorted `occupied` walk is
+        /// the map's key order; and emptied slots are released and reused,
+        /// so the slab never outgrows the peak number of occupied pools.
+        #[test]
+        fn flat_and_btree_backends_stay_identical(
+            n in 2usize..9,
+            overrides in collection::vec((0usize..9, 0usize..9, 0u8..4), 0..6),
+            ops in collection::vec((0u8..6, 0usize..9, 0usize..9, 1u64..4), 0..200),
+        ) {
+            let mut flat = FlatPools::new(n);
+            let mut reference: BTreeMap<NodePair, VecDeque<PairLot>> = BTreeMap::new();
+            let link_overrides: BTreeMap<NodePair, (f64, f64)> = overrides
+                .iter()
+                .filter_map(|&(a, b, v)| pair_in(n, a, b).map(|p| (p, (0.9, 1.0 + f64::from(v)))))
+                .collect();
+            // Unsorted input: the store sorts it itself.
+            flat.set_link_overrides(link_overrides.iter().rev().map(|(&p, &v)| (p, v)));
+            let mut peak_occupied = 0;
+            for (step, &(op, a, b, k)) in ops.iter().enumerate() {
+                let clock = SimTime::from_secs(step as u64);
+                let Some(p) = pair_in(n, a, b) else { continue };
+                match op {
+                    0 | 1 => {
+                        let lot = PairLot {
+                            created_at: clock,
+                            birth_fidelity: 0.5 + step as f64 / 1e3,
+                            coherence_time_s: 1.0,
+                        };
+                        flat.push(p, lot);
+                        reference.entry(p).or_default().push_back(lot);
                     }
-                    5..=6 => {
-                        let k = mix(&mut state) % 3;
-                        assert_eq!(
-                            flat.remove_pairs_with_fidelity(p, k),
-                            btree.remove_pairs_with_fidelity(p, k)
-                        );
+                    2 | 3 => {
+                        let from_back = op == 3;
+                        let take = |pool: &mut VecDeque<PairLot>| -> Vec<PairLot> {
+                            (0..k)
+                                .map_while(|_| if from_back { pool.pop_back() } else { pool.pop_front() })
+                                .collect()
+                        };
+                        let got = flat.pool_mut(p).map(take).unwrap_or_default();
+                        flat.release_if_empty(p);
+                        let want = reference.get_mut(&p).map(take).unwrap_or_default();
+                        reference.retain(|_, pool| !pool.is_empty());
+                        prop_assert_eq!(got, want);
                     }
-                    7..=8 => {
-                        let c = (mix(&mut state) % n as u64) as u32;
-                        if c != a && c != b {
-                            assert_eq!(
-                                flat.apply_swap(NodeId(c), NodeId(a), NodeId(b), 1, 1),
-                                btree.apply_swap(NodeId(c), NodeId(a), NodeId(b), 1, 1)
-                            );
+                    4 => {
+                        let cutoff = SimDuration::from_secs(10 * k);
+                        let mut want = Vec::new();
+                        for (&pair, pool) in reference.iter_mut() {
+                            while pool.front().is_some_and(|lot| lot.created_at + cutoff <= clock) {
+                                pool.pop_front();
+                                want.push(pair);
+                            }
                         }
+                        reference.retain(|_, pool| !pool.is_empty());
+                        prop_assert_eq!(flat.purge(cutoff, clock), want);
                     }
                     _ => {
-                        assert_eq!(
-                            flat.purge_expired(SimDuration::from_secs(20)),
-                            btree.purge_expired(SimDuration::from_secs(20))
+                        prop_assert_eq!(
+                            flat.link_override(p),
+                            link_overrides.get(&p).copied()
                         );
                     }
                 }
-                assert_eq!(
-                    flat.lots_for(p).collect::<Vec<PairLot>>(),
-                    btree.lots_for(p).collect::<Vec<PairLot>>(),
-                    "seed {seed} step {step}: lot order diverged"
+                peak_occupied = peak_occupied.max(reference.len());
+                prop_assert!(flat.occupied.iter().eq(reference.keys()));
+                for (a, b) in (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))) {
+                    let pair = NodePair::new(NodeId::from(a), NodeId::from(b));
+                    prop_assert_eq!(flat.pool(pair), reference.get(&pair));
+                }
+                prop_assert_eq!(
+                    flat.earliest(),
+                    reference.values().filter_map(|pool| pool.front()).map(|lot| lot.created_at).min()
                 );
+                prop_assert_eq!(flat.slab.len(), flat.occupied.len() + flat.free.len());
+                prop_assert!(flat.slab.len() <= peak_occupied);
+                prop_assert!(flat.free.iter().all(|&slot| flat.slab[slot as usize].is_empty()));
             }
-            assert_eq!(flat, btree, "seed {seed}: logical state diverged");
-            assert_eq!(flat.nonzero_pairs(), btree.nonzero_pairs());
-            assert_eq!(flat.earliest_lot_time(), btree.earliest_lot_time());
-            assert_eq!(
-                flat.to_value(),
-                btree.to_value(),
-                "seed {seed}: serialization diverged"
-            );
         }
     }
 }

@@ -16,9 +16,9 @@
 //!   workload, and the swap-overhead metric ([`network`], [`workload`],
 //!   [`experiment`], [`metrics`]),
 //! * the §6 extensions: hybrid oblivious + minimal planning ([`hybrid`]),
-//!   partial-knowledge (gossip) dissemination of buffer counts ([`gossip`]),
-//!   classical-overhead accounting ([`classical`]), and the simulated
-//!   classical control plane — stale per-node knowledge views refreshed by
+//!   classical-overhead accounting ([`classical`]), and partial-knowledge
+//!   (gossip) dissemination of buffer counts as a simulated classical
+//!   control plane — stale per-node knowledge views refreshed by
 //!   latency-delayed gossip ([`control`]).
 //!
 //! ## Quick start
@@ -55,7 +55,6 @@ pub mod classical;
 pub mod config;
 pub mod control;
 pub mod experiment;
-pub mod gossip;
 pub mod hybrid;
 pub mod inventory;
 pub mod lp_model;

@@ -250,8 +250,8 @@ pub struct RunMetrics {
     /// "leftover value" the paper's conservative-scoring note mentions).
     pub leftover_pairs: u64,
     /// Swap actions that were believed feasible on stale counts but failed
-    /// against drifted ground truth (stale control plane only; 0 under
-    /// global knowledge and the legacy gossip backend).
+    /// against drifted ground truth (gossip knowledge only; 0 under
+    /// global knowledge).
     pub missed_swaps: u64,
     /// Mean age in seconds of the believed knowledge rows consulted at
     /// decision time (`None` outside the stale control plane).
@@ -306,7 +306,7 @@ impl Serialize for RunMetrics {
             ));
         }
         // Staleness columns join only for stale-control-plane runs, so
-        // global-knowledge (and legacy-backend) cells keep legacy bytes.
+        // global-knowledge cells keep legacy bytes.
         if self.missed_swaps > 0 {
             entries.push(("missed_swaps".to_string(), self.missed_swaps.to_value()));
         }

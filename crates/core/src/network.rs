@@ -26,10 +26,7 @@
 use crate::balancer::SwapCandidate;
 use crate::classical::KnowledgeModel;
 use crate::config::NetworkConfig;
-use crate::control::{
-    self, ControlPlane, DecisionTelemetry, PropagationDelays, StaleControl, PROCESSING_DELAY_S,
-};
-use crate::gossip::GossipState;
+use crate::control::{DecisionTelemetry, PropagationDelays, StaleControl, PROCESSING_DELAY_S};
 use crate::inventory::Inventory;
 use crate::metrics::{RunMetrics, SatisfiedRequest};
 use crate::observer::{MetricsRecorder, RunObserver, SwapKind};
@@ -71,9 +68,8 @@ pub enum NetEvent {
     ArrivalWake,
     /// A node runs one gossip exchange: it pulls `peers_per_refresh`
     /// rotating peers' count rows, which arrive after their classical
-    /// propagation delay. Scheduled only under the stale control plane
-    /// (gossip knowledge without `QNET_KNOWLEDGE=truth`); never fires under
-    /// `Global` knowledge, keeping those runs byte-identical.
+    /// propagation delay. Scheduled only under gossip knowledge; never
+    /// fires under `Global` knowledge, keeping those runs byte-identical.
     GossipExchange {
         /// The exchanging (pulling) node.
         node: NodeId,
@@ -81,7 +77,7 @@ pub enum NetEvent {
     /// Execute a balancing swap proposed on a node's (possibly stale)
     /// believed counts. Scheduled one classical coordination round-trip
     /// after the scan that proposed it; by the time it fires, ground truth
-    /// may have drifted and the swap can *miss*. Stale control plane only.
+    /// may have drifted and the swap can *miss*. Gossip knowledge only.
     SwapExecute {
         /// The proposed swap.
         candidate: SwapCandidate,
@@ -170,9 +166,9 @@ pub struct QuantumNetworkWorld {
     graph: Graph,
     inventory: Inventory,
     /// The classical control plane: `None` under `Global` knowledge
-    /// (instantaneous truth), the legacy synchronous gossip or the stale
-    /// event-driven plane otherwise (see [`crate::control`]).
-    control: Option<ControlPlane>,
+    /// (instantaneous truth), the stale event-driven gossip plane otherwise
+    /// (see [`crate::control`]).
+    control: Option<StaleControl>,
     /// Scratch the policy fills with row ages / misses during stale
     /// decisions; drained into observer hooks after every policy call.
     telemetry: DecisionTelemetry,
@@ -286,19 +282,16 @@ impl QuantumNetworkWorld {
             KnowledgeModel::Gossip {
                 peers_per_refresh,
                 refresh_period_s,
-            } => Some(if control::stale_backend_from_env() {
+            } => {
                 let delays = PropagationDelays::new(&graph, fabric.as_ref(), &oracle);
-                // Period 0.0 couples exchanges to the swap-scan cadence,
-                // the rate the legacy synchronous backend refreshed at.
+                // Period 0.0 couples exchanges to the swap-scan cadence.
                 let period = if refresh_period_s > 0.0 {
                     refresh_period_s
                 } else {
                     1.0 / config.swap_scan_rate
                 };
-                ControlPlane::Stale(StaleControl::new(n, peers_per_refresh, period, delays))
-            } else {
-                ControlPlane::Legacy(GossipState::new(n, peers_per_refresh))
-            }),
+                Some(StaleControl::new(n, peers_per_refresh, period, delays))
+            }
         };
         let edge_index = EdgeIndex::new(&graph);
         let edge_rates = edge_index.table(|pair| {
@@ -402,7 +395,7 @@ impl QuantumNetworkWorld {
         // Stale gossip exchanges stagger deterministically (period · i/n)
         // with no RNG draws, so adding the control plane never perturbs the
         // draw sequence of the physical processes above.
-        if let Some(ControlPlane::Stale(ctl)) = &self.control {
+        if let Some(ctl) = &self.control {
             let period = ctl.period();
             let n = self.graph.node_count();
             for (i, node) in self.graph.nodes().enumerate() {
@@ -765,14 +758,6 @@ impl QuantumNetworkWorld {
     }
 
     fn handle_swap_scan(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<NetEvent>) {
-        // Legacy synchronous gossip: knowledge refresh (and its classical
-        // cost) happens right before the policy's decision. The stale plane
-        // refreshes via its own [`NetEvent::GossipExchange`] events instead.
-        if let Some(ControlPlane::Legacy(gossip)) = &mut self.control {
-            let msgs = gossip.refresh(node, &self.inventory);
-            self.notify(|o| o.on_count_updates(now, msgs));
-        }
-
         let candidate = {
             let QuantumNetworkWorld {
                 policy,
@@ -799,11 +784,11 @@ impl QuantumNetworkWorld {
 
         if let Some(c) = candidate {
             match &self.control {
-                // Stale plane: the repeater must coordinate the swap with
-                // both remote beneficiaries over the classical network, so
-                // execution lands one round-trip later — against a truth
+                // Gossip knowledge: the repeater must coordinate the swap
+                // with both remote beneficiaries over the classical network,
+                // so execution lands one round-trip later — against a truth
                 // that may have drifted from the counts the scan believed.
-                Some(ControlPlane::Stale(ctl)) => {
+                Some(ctl) => {
                     let delays = ctl.delays();
                     let worst = delays
                         .delay_s(NodePair::new(c.repeater, c.left))
@@ -811,7 +796,7 @@ impl QuantumNetworkWorld {
                     let exec_delay = SimDuration::from_secs_f64(2.0 * worst + PROCESSING_DELAY_S);
                     queue.schedule_at(now + exec_delay, NetEvent::SwapExecute { candidate: c });
                 }
-                _ => {
+                None => {
                     self.execute_balancing_swap(now, c, queue);
                 }
             }
@@ -864,7 +849,7 @@ impl QuantumNetworkWorld {
         }
     }
 
-    /// A gossip exchange fires under the stale control plane: pull the next
+    /// A gossip exchange fires under gossip knowledge: pull the next
     /// rotating peers' rows (they arrive after their propagation delay) and
     /// charge the classical message cost.
     fn handle_gossip_exchange(
@@ -873,7 +858,7 @@ impl QuantumNetworkWorld {
         node: NodeId,
         queue: &mut EventQueue<NetEvent>,
     ) {
-        let Some(ControlPlane::Stale(ctl)) = &mut self.control else {
+        let Some(ctl) = &mut self.control else {
             return;
         };
         let period = ctl.period();
@@ -1016,7 +1001,7 @@ impl World for QuantumNetworkWorld {
         // In-flight gossip rows mature before the event's decision logic,
         // so views are as fresh as the classical network allows — never
         // fresher. A single no-op branch under global knowledge.
-        if let Some(ControlPlane::Stale(ctl)) = &mut self.control {
+        if let Some(ctl) = &mut self.control {
             ctl.deliver_matured(now);
         }
         match event {

@@ -10,14 +10,13 @@
 //! rows refresh rarely. This policy instead discounts each believed count
 //! by `exp(-age / τ)` before the preferable-swap test — an old row decays
 //! toward zero, the pair looks as poor as it plausibly is, and the
-//! balancer helps it sooner. Under global knowledge (or the legacy
-//! synchronous backend) ages are identically zero and the discipline
-//! degrades to exactly the oblivious balancer.
+//! balancer helps it sooner. Under global knowledge there are no ages and
+//! the discipline degrades to exactly the oblivious balancer.
 
 use super::{oblivious::ObliviousPolicy, PolicyCtx, PolicyId, PolicyParams};
 use super::{RequestAction, SwapPolicy};
 use crate::balancer::{BalancerPolicy, CountView, SwapCandidate};
-use crate::control::{ControlPlane, KnowledgeView};
+use crate::control::KnowledgeView;
 use crate::workload::ConsumptionRequest;
 use qnet_sim::SimTime;
 use qnet_topology::{NodeId, NodePair};
@@ -112,7 +111,7 @@ impl SwapPolicy for GossipAwarePolicy {
 
     fn on_swap_scan(&mut self, ctx: &mut PolicyCtx<'_>, node: NodeId) -> Option<SwapCandidate> {
         match ctx.control {
-            Some(ControlPlane::Stale(ctl)) => {
+            Some(ctl) => {
                 let view = ctl.view(node);
                 let d = ctx.config.distillation_overhead();
                 let overhead = move |_: NodePair| d;
@@ -127,7 +126,7 @@ impl SwapPolicy for GossipAwarePolicy {
                 candidate
             }
             // No ages to discount: identical to the oblivious balancer.
-            _ => ObliviousPolicy::scan(&self.balancer, ctx, node),
+            None => ObliviousPolicy::scan(&self.balancer, ctx, node),
         }
     }
 

@@ -13,7 +13,6 @@
 
 use super::{PolicyCtx, PolicyId, PolicyParams, RequestAction, SwapPolicy};
 use crate::balancer::CountView;
-use crate::control::ControlPlane;
 use crate::inventory::Inventory;
 use crate::workload::ConsumptionRequest;
 use qnet_topology::{NodeId, NodePair};
@@ -219,7 +218,7 @@ impl SwapPolicy for GreedyOrderPolicy {
             return RequestAction::Drop;
         };
         let k = ctx.pairs_per_distilled();
-        if let Some(ControlPlane::Stale(ctl)) = ctx.control {
+        if let Some(ctl) = ctx.control {
             // The split ordering is decided on the consumer's believed
             // counts; execution stays truth-checked. A believed ordering
             // that fails where the fresh-knowledge ordering would have

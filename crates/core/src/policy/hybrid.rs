@@ -3,7 +3,7 @@
 
 use super::{oblivious::ObliviousPolicy, PolicyCtx, PolicyId, RequestAction, SwapPolicy};
 use crate::balancer::{BalancerPolicy, CountView, SwapCandidate};
-use crate::control::{ControlPlane, OwnerAwareView};
+use crate::control::OwnerAwareView;
 use crate::hybrid::{entanglement_bfs, hybrid_repair};
 use crate::planned::execute_nested_along_path;
 use crate::workload::ConsumptionRequest;
@@ -44,7 +44,7 @@ impl SwapPolicy for HybridPolicy {
         request: &ConsumptionRequest,
     ) -> RequestAction {
         let k = ctx.pairs_per_distilled();
-        if let Some(ControlPlane::Stale(ctl)) = ctx.control {
+        if let Some(ctl) = ctx.control {
             // The consumer plans its repair over the entanglement graph *it
             // believes in*: its own pools are exact, every remote-remote
             // pair comes from its stale knowledge view. A believed path

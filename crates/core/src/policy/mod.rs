@@ -38,7 +38,7 @@ pub mod planned;
 
 use crate::balancer::SwapCandidate;
 use crate::config::NetworkConfig;
-use crate::control::{ControlPlane, DecisionTelemetry};
+use crate::control::{DecisionTelemetry, StaleControl};
 use crate::inventory::Inventory;
 use crate::workload::ConsumptionRequest;
 use qnet_sim::SimTime;
@@ -68,9 +68,9 @@ pub struct PolicyCtx<'a> {
     pub inventory: &'a mut Inventory,
     /// The classical control plane, when the run uses partial knowledge
     /// (`None` under global knowledge — consult the inventory directly, it
-    /// is exact). Under [`ControlPlane::Stale`] remote counts come from
-    /// per-node [`crate::control::KnowledgeView`]s that lag ground truth.
-    pub control: Option<&'a ControlPlane>,
+    /// is exact). Under gossip knowledge remote counts come from per-node
+    /// [`crate::control::KnowledgeView`]s that lag ground truth.
+    pub control: Option<&'a StaleControl>,
     /// The current simulated time (decision timestamp for staleness
     /// accounting).
     pub now: SimTime,

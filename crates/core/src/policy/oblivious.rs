@@ -2,7 +2,6 @@
 
 use super::{PolicyCtx, PolicyId, RequestAction, SwapPolicy};
 use crate::balancer::{BalancerPolicy, SwapCandidate};
-use crate::control::ControlPlane;
 use crate::workload::ConsumptionRequest;
 use qnet_topology::{NodeId, NodePair};
 
@@ -34,11 +33,7 @@ impl ObliviousPolicy {
         let d = ctx.config.distillation_overhead();
         let overhead = move |_: NodePair| d;
         match ctx.control {
-            Some(ControlPlane::Legacy(gossip)) => {
-                let view = gossip.view_of(node);
-                balancer.find_preferable_swap(ctx.inventory, &view, node, &overhead)
-            }
-            Some(ControlPlane::Stale(ctl)) => {
+            Some(ctl) => {
                 let view = ctl.view(node);
                 let candidate = balancer.find_preferable_swap(ctx.inventory, view, node, &overhead);
                 if let Some(c) = &candidate {

@@ -7,7 +7,6 @@
 //! pending request execute as soon as its path has the pairs.
 
 use super::{PolicyCtx, PolicyId, QueueDiscipline, RequestAction, SwapPolicy};
-use crate::control::ControlPlane;
 use crate::planned::{dry_run_nested_along_path, execute_nested_along_path};
 use crate::workload::ConsumptionRequest;
 use qnet_topology::{NodeId, NodePair};
@@ -54,7 +53,7 @@ fn nested_repair(
 ) -> Option<RequestAction> {
     let k = ctx.pairs_per_distilled();
     let path = cache.nodes(ctx, request.pair)?;
-    if let Some(ControlPlane::Stale(ctl)) = ctx.control {
+    if let Some(ctl) = ctx.control {
         let consumer = request.pair.lo();
         let feasible = {
             let view = ctl.view(consumer).for_owner(consumer, ctx.inventory);

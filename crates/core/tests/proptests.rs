@@ -5,13 +5,16 @@
 use proptest::prelude::*;
 use qnet_core::balancer::{BalancerPolicy, CountView};
 use qnet_core::control::{PropagationDelays, StaleControl, PROCESSING_DELAY_S};
-use qnet_core::inventory::{Inventory, InventoryBackend};
+use qnet_core::inventory::{Inventory, InventoryError, PairLot};
 use qnet_core::nested::{nested_swap_cost, nested_swap_cost_with_joins};
-use qnet_core::physics::PhysicsModel;
+use qnet_core::physics::{ConsumeOrder, PhysicsModel};
 use qnet_core::planned::{execute_nested_along_path, planned_path_swap_cost};
 use qnet_core::workload::{PairSelection, WorkloadSpec};
+use qnet_quantum::decoherence::DecoherenceModel;
+use qnet_quantum::swap::swap_werner_fidelity;
 use qnet_sim::{SimDuration, SimTime};
 use qnet_topology::{builders, NodeId, NodePair, PathOracle, Topology};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Build a cycle-topology stale control plane plus the matching delay
 /// table, and drive it through `rounds` synchronized exchange rounds at
@@ -288,83 +291,172 @@ proptest! {
         prop_assert_eq!(spec.generate(seed), w);
     }
 
-    /// Differential pin of the flat inventory backend against the legacy
-    /// B-tree one: an arbitrary mutation sequence (adds, removes, swaps,
-    /// expiry purges, clock advances) drives both backends through
-    /// byte-identical observable states — counts, per-pool lot order,
-    /// `nonzero_pairs` order, purge results, and serialized JSON.
+    /// Differential pin of the flat-pool inventory against a B-tree
+    /// reference model (`BTreeMap<NodePair, VecDeque<PairLot>>` plus the
+    /// per-edge overrides): an arbitrary mutation sequence (adds, removes,
+    /// swaps, expiry purges, clock advances) under either consume order
+    /// drives both through identical observable states — counts, node
+    /// loads, per-pool lot order, removal fidelities and refusals, purge
+    /// results, `nonzero_pairs` and `peer_counts` order, the earliest lot,
+    /// and the serialized count space.
     #[test]
     fn flat_inventory_backend_matches_btree(
         n in 3usize..9,
         decoherent in any::<bool>(),
+        newest_first in any::<bool>(),
+        links in proptest::collection::vec((0usize..9, 0usize..9, 0u8..4), 0..4),
         ops in proptest::collection::vec(
             (0usize..5, 0usize..9, 0usize..9, 0usize..9, 1u64..5),
             0..150,
         ),
     ) {
-        let mut flat = Inventory::with_backend(n, InventoryBackend::Flat);
-        let mut btree = Inventory::with_backend(n, InventoryBackend::BTree);
+        let order = if newest_first {
+            ConsumeOrder::NewestFirst
+        } else {
+            ConsumeOrder::OldestFirst
+        };
+        let physics = PhysicsModel::decoherent(8.0).with_consume_order(order);
+        let overrides: BTreeMap<NodePair, (f64, f64)> = links
+            .iter()
+            .filter_map(|&(a, b, v)| pair_from(n, a, b).map(|p| (p, (0.9, 2.0 + f64::from(v)))))
+            .collect();
+        let mut inv = Inventory::new(n);
         if decoherent {
-            let physics = PhysicsModel::decoherent(8.0);
-            flat.enable_lot_tracking(&physics);
-            btree.enable_lot_tracking(&physics);
+            inv.enable_lot_tracking(&physics);
+            inv.set_link_physics(overrides.iter().map(|(&p, &(f0, t2))| (p, f0, t2)));
         }
-        let mut clock_s = 0u64;
+        let mut reference: BTreeMap<NodePair, VecDeque<PairLot>> = BTreeMap::new();
+        let mut clock = SimTime::ZERO;
+        let elementary = |p: NodePair, clock: SimTime| {
+            let (birth_fidelity, coherence_time_s) = overrides
+                .get(&p)
+                .copied()
+                .unwrap_or((physics.initial_fidelity(), 8.0));
+            PairLot { created_at: clock, birth_fidelity, coherence_time_s }
+        };
+        // Pop `k` lots in the configured order: the best aged fidelity among
+        // them and the worst memory among them.
+        let take = |pool: &mut VecDeque<PairLot>, k: u64, clock: SimTime| {
+            let mut best = f64::NEG_INFINITY;
+            let mut weakest_t2 = f64::INFINITY;
+            for _ in 0..k {
+                let lot = match order {
+                    ConsumeOrder::OldestFirst => pool.pop_front(),
+                    ConsumeOrder::NewestFirst => pool.pop_back(),
+                }
+                .expect("count checked");
+                let age = clock.saturating_since(lot.created_at).as_secs_f64();
+                let decay = DecoherenceModel { coherence_time_s: lot.coherence_time_s };
+                best = best.max(decay.fidelity_after(lot.birth_fidelity, age));
+                weakest_t2 = weakest_t2.min(lot.coherence_time_s);
+            }
+            (best, weakest_t2)
+        };
+        let refused = |reference: &BTreeMap<NodePair, VecDeque<PairLot>>, p: NodePair, k: u64| {
+            let available = reference.get(&p).map_or(0, |pool| pool.len() as u64);
+            (available < k).then_some(InventoryError::InsufficientPairs { requested: k, available })
+        };
         for (op, a, b, c, dt) in ops {
             match op {
                 0 | 1 => {
                     if let Some(p) = pair_from(n, a, b) {
-                        prop_assert_eq!(flat.add_pair(p), btree.add_pair(p));
+                        prop_assert_eq!(inv.add_pair(p), Ok(()));
+                        reference.entry(p).or_default().push_back(elementary(p, clock));
                     }
                 }
                 2 => {
                     if let Some(p) = pair_from(n, a, b) {
-                        prop_assert_eq!(
-                            flat.remove_pairs_with_fidelity(p, dt.min(2)),
-                            btree.remove_pairs_with_fidelity(p, dt.min(2))
-                        );
+                        let k = dt.min(2);
+                        let want = match refused(&reference, p, k) {
+                            Some(err) => Err(err),
+                            None if k == 0 => Ok(None),
+                            None => {
+                                let (best, _) = take(reference.get_mut(&p).unwrap(), k, clock);
+                                Ok(decoherent.then_some(best))
+                            }
+                        };
+                        prop_assert_eq!(inv.remove_pairs_with_fidelity(p, k), want);
                     }
                 }
                 3 => {
                     let (r, l, x) = (a % n, b % n, c % n);
                     if r != l && r != x && l != x {
                         let (r, l, x) = (NodeId::from(r), NodeId::from(l), NodeId::from(x));
-                        prop_assert_eq!(
-                            flat.apply_swap(r, l, x, 1, 1),
-                            btree.apply_swap(r, l, x, 1, 1)
-                        );
+                        let (left, right) = (NodePair::new(r, l), NodePair::new(r, x));
+                        let want = match refused(&reference, left, 1)
+                            .or_else(|| refused(&reference, right, 1))
+                        {
+                            Some(err) => Err(err),
+                            None => {
+                                let (fa, ta) = take(reference.get_mut(&left).unwrap(), 1, clock);
+                                let (fb, tb) = take(reference.get_mut(&right).unwrap(), 1, clock);
+                                reference.entry(NodePair::new(l, x)).or_default().push_back(PairLot {
+                                    created_at: clock,
+                                    birth_fidelity: swap_werner_fidelity(fa, fb),
+                                    coherence_time_s: ta.min(tb),
+                                });
+                                Ok(())
+                            }
+                        };
+                        prop_assert_eq!(inv.apply_swap(r, l, x, 1, 1), want);
                     }
                 }
                 _ => {
-                    clock_s += dt;
-                    flat.set_clock(SimTime::from_secs(clock_s));
-                    btree.set_clock(SimTime::from_secs(clock_s));
-                    prop_assert_eq!(
-                        flat.purge_expired(SimDuration::from_secs(10)),
-                        btree.purge_expired(SimDuration::from_secs(10))
-                    );
+                    clock += SimDuration::from_secs(dt);
+                    inv.set_clock(clock);
+                    let cutoff = SimDuration::from_secs(10);
+                    let mut want = Vec::new();
+                    if decoherent {
+                        for (&p, pool) in reference.iter_mut() {
+                            while pool.front().is_some_and(|lot| lot.created_at + cutoff <= clock) {
+                                pool.pop_front();
+                                want.push(p);
+                            }
+                        }
+                    }
+                    prop_assert_eq!(inv.purge_expired(cutoff), want);
                 }
             }
-        }
-        prop_assert_eq!(&flat, &btree);
-        prop_assert_eq!(flat.nonzero_pairs(), btree.nonzero_pairs());
-        prop_assert_eq!(flat.earliest_lot_time(), btree.earliest_lot_time());
-        for a in 0..n {
-            for b in a + 1..n {
-                let p = NodePair::new(NodeId::from(a), NodeId::from(b));
-                prop_assert_eq!(
-                    flat.lots_for(p).collect::<Vec<_>>(),
-                    btree.lots_for(p).collect::<Vec<_>>(),
-                    "lot order diverged for {}",
-                    p
-                );
+            reference.retain(|_, pool| !pool.is_empty());
+            for (lo, hi) in (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))) {
+                let p = NodePair::new(NodeId::from(lo), NodeId::from(hi));
+                let pool = reference.get(&p);
+                prop_assert_eq!(inv.count(p), pool.map_or(0, |pool| pool.len() as u64));
+                let lots: Vec<PairLot> = if decoherent {
+                    pool.into_iter().flatten().copied().collect()
+                } else {
+                    Vec::new()
+                };
+                prop_assert_eq!(inv.lots_for(p).collect::<Vec<_>>(), lots, "lot order diverged for {}", p);
             }
         }
-        let bytes = |inv: &Inventory| {
-            serde_json::to_string(&serde_json::to_value(inv).expect("inventory to_value"))
-                .expect("inventory to_string")
+        let nonzero: Vec<(NodePair, u64)> =
+            reference.iter().map(|(&p, pool)| (p, pool.len() as u64)).collect();
+        prop_assert_eq!(inv.nonzero_pairs(), nonzero.clone());
+        prop_assert_eq!(inv.total_pairs(), nonzero.iter().map(|&(_, c)| c).sum::<u64>());
+        let mut rows: Vec<BTreeMap<NodeId, u64>> = vec![BTreeMap::new(); n];
+        for &(p, c) in &nonzero {
+            rows[p.lo().index()].insert(p.hi(), c);
+            rows[p.hi().index()].insert(p.lo(), c);
+        }
+        for (node, row) in rows.into_iter().enumerate() {
+            let node = NodeId::from(node);
+            let peers: Vec<(NodeId, u64)> = row.into_iter().collect();
+            prop_assert_eq!(inv.node_load(node), peers.iter().map(|&(_, c)| c).sum::<u64>());
+            prop_assert_eq!(inv.peer_counts(node), peers.as_slice());
+        }
+        let earliest = if decoherent {
+            reference.values().filter_map(|pool| pool.iter().map(|lot| lot.created_at).min()).min()
+        } else {
+            None
         };
-        prop_assert_eq!(bytes(&flat), bytes(&btree));
+        prop_assert_eq!(inv.earliest_lot_time(), earliest);
+        let restored: Inventory =
+            serde_json::from_str(&serde_json::to_string(&inv).expect("inventory to_string"))
+                .expect("inventory from_str");
+        prop_assert_eq!(restored.nonzero_pairs(), nonzero);
+        prop_assert_eq!(restored.total_added(), inv.total_added());
+        prop_assert_eq!(restored.total_removed(), inv.total_removed());
     }
 
     /// Stale-knowledge freshness bound: once every node has completed one

@@ -268,8 +268,7 @@
 //! * **Timing-wheel event queue** — [`sim::EventQueue`] orders events on a
 //!   hierarchical timing wheel (O(1) amortised schedule/pop) instead of a
 //!   `BinaryHeap`, preserving the deterministic `(time, seq)` FIFO
-//!   tie-break exactly; `QNET_EVENT_QUEUE=heap` selects the legacy heap,
-//!   and both backends produce byte-identical reports.
+//!   tie-break exactly, so it pops the same stream a heap would.
 //! * **Lazy arrival streams** — open-loop Poisson arrivals are drawn from a
 //!   [`core::workload::ArrivalStream`] in batches of
 //!   [`core::network::ARRIVAL_BATCH`] by a self-rescheduling generator
@@ -330,17 +329,16 @@
 //! indexed structures that it walks over and over without allocating:
 //!
 //! * **Timing wheel** — events come off the [`sim::EventQueue`] wheel in
-//!   O(1) amortised (`QNET_EVENT_QUEUE=heap` pins the legacy `BinaryHeap`);
+//!   O(1) amortised;
 //! * **Edge index** — [`topology::EdgeIndex`] numbers the generation
 //!   graph's edges `0..E` with a CSR adjacency layout, so per-edge state
 //!   (generation rates, link overrides) lives in plain vectors indexed by
 //!   edge id instead of maps keyed by [`topology::NodePair`];
 //! * **Flat inventory** — [`core::inventory::Inventory`] stores per-pair
-//!   counts and lots in dense edge-slot pools with an O(1) triangular
-//!   pair→slot map (`QNET_INVENTORY=btree` pins the legacy `BTreeMap`
-//!   store; both backends produce byte-identical reports, and the
-//!   balancer's scan loop is monomorphized over the concrete store so the
-//!   O(rich²) beneficiary probe pays no virtual dispatch);
+//!   counts and lots in dense slab pools with an O(1) triangular
+//!   pair→slot map, walked in sorted pair order (the balancer's scan loop
+//!   is monomorphized over the concrete store so the O(rich²) beneficiary
+//!   probe pays no virtual dispatch);
 //! * **Path oracle** — [`topology::PathOracle`] serves shortest-path
 //!   queries from per-source BFS rows (all-pairs eager up to 128 nodes,
 //!   lazily memoized per source above), replacing the per-pair memoized
@@ -348,7 +346,7 @@
 //!   reconstruction per query.
 //!
 //! ```
-//! use qnet::core::inventory::{Inventory, InventoryBackend};
+//! use qnet::core::inventory::Inventory;
 //! use qnet::topology::{bfs_path, builders, EdgeIndex, NodeId, NodePair, PathOracle};
 //!
 //! // Dense edge index over an internet-like graph: O(1) pair ↔ edge-id.
@@ -364,14 +362,13 @@
 //! let via_bfs = bfs_path(&graph, NodeId(3), NodeId(90)).unwrap();
 //! assert_eq!(via_oracle.nodes, via_bfs.nodes);
 //!
-//! // The two inventory backends are logically interchangeable state.
-//! let mut flat = Inventory::with_backend(6, InventoryBackend::Flat);
-//! let mut btree = Inventory::with_backend(6, InventoryBackend::BTree);
-//! for inv in [&mut flat, &mut btree] {
-//!     inv.add_pair(NodePair::new(NodeId(0), NodeId(1))).unwrap();
-//!     inv.add_pair(NodePair::new(NodeId(1), NodeId(4))).unwrap();
-//! }
-//! assert_eq!(flat, btree);
+//! // Each node's entangled peers sit in one sorted contiguous row, counts
+//! // inline: the slice the balancer scan walks.
+//! let mut inv = Inventory::new(6);
+//! inv.add_pair(NodePair::new(NodeId(1), NodeId(4))).unwrap();
+//! inv.add_pair(NodePair::new(NodeId(0), NodeId(1))).unwrap();
+//! inv.add_pair(NodePair::new(NodeId(0), NodeId(1))).unwrap();
+//! assert_eq!(inv.peer_counts(NodeId(1)), &[(NodeId(0), 2), (NodeId(4), 1)]);
 //! ```
 //!
 //! The `path_oracle` and `inventory_hot_scan` benchmark groups in
@@ -543,11 +540,9 @@
 //!
 //! [`core::classical::KnowledgeModel::Global`] never builds a control
 //! plane and stays byte-identical to pre-subsystem reports. Gossip
-//! knowledge runs the latency-aware stale plane by default;
-//! `QNET_KNOWLEDGE=truth` reverts to the legacy synchronous backend
-//! (instant refresh against truth — message counts survive, staleness
-//! disappears), mirroring the `QNET_EVENT_QUEUE` / `QNET_INVENTORY`
-//! backend escapes. On the CLI the knowledge axis is
+//! knowledge always runs the latency-aware stale plane; a refresh period
+//! of `0` couples each node's exchanges to its swap-scan cadence. On the
+//! CLI the knowledge axis is
 //! `campaign --knowledge global,gossip:K,gossip:K:PERIOD`, and gossip
 //! cells grow `stale_row_age_mean_s` / `stale_row_age_p95_s` /
 //! `missed_swaps_total` report columns (global cells keep the legacy

@@ -7,13 +7,11 @@
 //! scheduled for the same instant are always delivered in the order they
 //! were scheduled.
 //!
-//! Two backends implement that contract with identical observable behavior
-//! (see [`QueueBackend`]): a hierarchical **timing wheel** (the default —
-//! near-O(1) schedule/pop for the dense short-horizon event churn the
-//! network simulation generates) and the classic **binary heap** (O(log n),
-//! kept as a fallback and as the differential-testing oracle). Because both
-//! order by the full `(time, seq)` key, the pop sequence — and therefore
-//! every simulation byte — is the same whichever backend runs.
+//! The queue is a hierarchical **timing wheel**: near-O(1) schedule/pop for
+//! the dense short-horizon event churn the network simulation generates.
+//! It orders by the full `(time, seq)` key, so its pop sequence is exactly
+//! that of a plain binary heap over [`ScheduledEvent`] — the reference the
+//! unit tests check it against.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -52,24 +50,6 @@ impl<E> Ord for ScheduledEvent<E> {
             .cmp(&self.time)
             .then_with(|| other.seq.cmp(&self.seq))
     }
-}
-
-/// Which data structure backs an [`EventQueue`].
-///
-/// Selected per queue at construction: explicitly via
-/// [`EventQueue::with_backend`], or for [`EventQueue::new`] from the
-/// `QNET_EVENT_QUEUE` environment variable (`wheel` / `heap`; unset or
-/// unrecognized means the default wheel). Both backends deliver the exact
-/// same `(time, seq)` pop order, so switching backends never changes
-/// simulation output — only its speed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum QueueBackend {
-    /// Hierarchical timing wheel / calendar queue (default).
-    #[default]
-    TimingWheel,
-    /// Plain binary heap over `(time, seq)` — the historical
-    /// implementation, kept as a runtime fallback and differential oracle.
-    BinaryHeap,
 }
 
 /// Log₂ of the wheel bucket width in nanoseconds: 2²⁰ ns ≈ 1.05 ms, on the
@@ -189,19 +169,13 @@ impl<E> TimingWheel<E> {
     }
 }
 
-/// The two interchangeable queue implementations.
-#[derive(Debug, Clone)]
-enum Backend<E> {
-    Heap(BinaryHeap<ScheduledEvent<E>>),
-    Wheel(TimingWheel<E>),
-}
-
 /// A deterministic future-event list.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    wheel: TimingWheel<E>,
+    /// Next insertion sequence number, which is also the total number of
+    /// events ever scheduled.
     next_seq: u64,
-    scheduled_total: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -210,43 +184,12 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// Backend requested by the `QNET_EVENT_QUEUE` environment variable
-/// (consulted per queue creation so tests can toggle it): `heap` /
-/// `binary-heap` / `binary_heap` select the heap, anything else (including
-/// unset) the timing wheel.
-fn backend_from_env() -> QueueBackend {
-    match std::env::var("QNET_EVENT_QUEUE") {
-        Ok(v) if matches!(v.as_str(), "heap" | "binary-heap" | "binary_heap") => {
-            QueueBackend::BinaryHeap
-        }
-        _ => QueueBackend::TimingWheel,
-    }
-}
-
 impl<E> EventQueue<E> {
-    /// Create an empty queue with the environment-selected backend (the
-    /// timing wheel unless `QNET_EVENT_QUEUE=heap`).
+    /// Create an empty queue.
     pub fn new() -> Self {
-        Self::with_backend(backend_from_env())
-    }
-
-    /// Create an empty queue on an explicitly chosen backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
         EventQueue {
-            backend: match backend {
-                QueueBackend::TimingWheel => Backend::Wheel(TimingWheel::new()),
-                QueueBackend::BinaryHeap => Backend::Heap(BinaryHeap::new()),
-            },
+            wheel: TimingWheel::new(),
             next_seq: 0,
-            scheduled_total: 0,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match &self.backend {
-            Backend::Heap(_) => QueueBackend::BinaryHeap,
-            Backend::Wheel(_) => QueueBackend::TimingWheel,
         }
     }
 
@@ -254,16 +197,11 @@ impl<E> EventQueue<E> {
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
-        let scheduled = ScheduledEvent {
+        self.wheel.push(ScheduledEvent {
             time: at,
             seq,
             event,
-        };
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(scheduled),
-            Backend::Wheel(wheel) => wheel.push(scheduled),
-        }
+        });
     }
 
     /// Schedule `event` for delivery `after` the given `now`.
@@ -273,26 +211,17 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the next event in `(time, seq)` order.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.pop(),
-            Backend::Wheel(wheel) => wheel.pop(),
-        }
+        self.wheel.pop()
     }
 
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(heap) => heap.peek().map(|s| s.time),
-            Backend::Wheel(wheel) => wheel.peek_time(),
-        }
+        self.wheel.peek_time()
     }
 
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Wheel(wheel) => wheel.len(),
-        }
+        self.wheel.len()
     }
 
     /// True if no events are pending.
@@ -302,30 +231,19 @@ impl<E> EventQueue<E> {
 
     /// Total number of events ever scheduled on this queue.
     pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
+        self.next_seq
     }
 
     /// Drop all pending events (the sequence counter keeps advancing so that
     /// determinism is preserved if the queue is reused).
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.clear(),
-            Backend::Wheel(wheel) => wheel.clear(),
-        }
+        self.wheel.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Run the same scenario on both backends.
-    fn on_both_backends(scenario: impl Fn(&mut EventQueue<u64>)) {
-        for backend in [QueueBackend::TimingWheel, QueueBackend::BinaryHeap] {
-            let mut q = EventQueue::with_backend(backend);
-            scenario(&mut q);
-        }
-    }
 
     #[test]
     fn pops_in_time_order() {
@@ -339,13 +257,12 @@ mod tests {
 
     #[test]
     fn ties_broken_by_insertion_order() {
-        on_both_backends(|q| {
-            for i in 0..100u64 {
-                q.schedule_at(SimTime::from_secs(7), i);
-            }
-            let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
-        });
+        let mut q = EventQueue::new();
+        for i in 0..100u64 {
+            q.schedule_at(SimTime::from_secs(7), i);
+        }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -357,45 +274,29 @@ mod tests {
 
     #[test]
     fn counters_and_clear() {
-        on_both_backends(|q| {
-            assert!(q.is_empty());
-            q.schedule_at(SimTime::ZERO, 1);
-            q.schedule_at(SimTime::ZERO, 2);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.scheduled_total(), 2);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.scheduled_total(), 2);
-        });
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        q.schedule_at(SimTime::ZERO, 1);
+        q.schedule_at(SimTime::ZERO, 2);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.scheduled_total(), 2);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.scheduled_total(), 2);
     }
 
     #[test]
     fn interleaved_schedule_and_pop_stays_ordered() {
-        on_both_backends(|q| {
-            q.schedule_at(SimTime::from_secs(10), 10);
-            q.schedule_at(SimTime::from_secs(1), 1);
-            assert_eq!(q.pop().unwrap().event, 1);
-            q.schedule_at(SimTime::from_secs(5), 5);
-            q.schedule_at(SimTime::from_secs(2), 2);
-            assert_eq!(q.pop().unwrap().event, 2);
-            assert_eq!(q.pop().unwrap().event, 5);
-            assert_eq!(q.pop().unwrap().event, 10);
-            assert!(q.pop().is_none());
-        });
-    }
-
-    #[test]
-    fn env_var_selects_backend_per_creation() {
-        // Serialize with other env-reading tests via the lock below.
-        std::env::set_var("QNET_EVENT_QUEUE", "heap");
-        let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.backend(), QueueBackend::BinaryHeap);
-        std::env::set_var("QNET_EVENT_QUEUE", "wheel");
-        let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.backend(), QueueBackend::TimingWheel);
-        std::env::remove_var("QNET_EVENT_QUEUE");
-        let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.backend(), QueueBackend::TimingWheel);
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_secs(10), 10);
+        q.schedule_at(SimTime::from_secs(1), 1);
+        assert_eq!(q.pop().unwrap().event, 1);
+        q.schedule_at(SimTime::from_secs(5), 5);
+        q.schedule_at(SimTime::from_secs(2), 2);
+        assert_eq!(q.pop().unwrap().event, 2);
+        assert_eq!(q.pop().unwrap().event, 5);
+        assert_eq!(q.pop().unwrap().event, 10);
+        assert!(q.pop().is_none());
     }
 
     /// Deterministic pseudo-random stream (SplitMix-style) for the
@@ -408,16 +309,26 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// The differential proof the backend swap rests on: identical
-    /// schedule/pop interleavings produce identical `(time, seq, event)`
-    /// streams on both backends, across time scales that exercise the
-    /// wheel's active heap, its buckets, its overflow heap, and the
-    /// overflow→bucket migration as the wheel rotates.
+    /// The differential proof the wheel rests on: identical schedule/pop
+    /// interleavings produce identical `(time, seq, event)` streams from
+    /// the wheel and from a plain `BinaryHeap<ScheduledEvent>` (whose `Ord`
+    /// is the `(time, seq)` contract itself), across time scales that
+    /// exercise the wheel's active heap, its buckets, its overflow heap,
+    /// and the overflow→bucket migration as the wheel rotates.
     #[test]
     fn wheel_and_heap_pop_identical_streams() {
         for (scale, seed) in [(1_u64, 1), (1 << 18, 2), (1 << 22, 3), (1 << 30, 4)] {
-            let mut wheel = EventQueue::with_backend(QueueBackend::TimingWheel);
-            let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
+            let mut wheel = EventQueue::new();
+            let mut heap = BinaryHeap::new();
+            let schedule = |wheel: &mut EventQueue<u64>,
+                            heap: &mut BinaryHeap<ScheduledEvent<u64>>,
+                            at: u64,
+                            event: u64| {
+                let time = SimTime::from_nanos(at);
+                let seq = wheel.scheduled_total();
+                wheel.schedule_at(time, event);
+                heap.push(ScheduledEvent { time, seq, event });
+            };
             let mut state = seed;
             let mut now = 0u64;
             for round in 0..2_000u64 {
@@ -425,21 +336,12 @@ mod tests {
                 // Mixed workload: mostly schedules near `now`, some far
                 // ahead, occasional bursts of exact ties, interleaved pops.
                 match r % 10 {
-                    0..=5 => {
-                        let at = now + (r >> 32) % (64 * scale);
-                        wheel.schedule_at(SimTime::from_nanos(at), round);
-                        heap.schedule_at(SimTime::from_nanos(at), round);
-                    }
-                    6 => {
-                        let at = now + (r >> 32) % (1 << 34); // far future
-                        wheel.schedule_at(SimTime::from_nanos(at), round);
-                        heap.schedule_at(SimTime::from_nanos(at), round);
-                    }
+                    0..=5 => schedule(&mut wheel, &mut heap, now + (r >> 32) % (64 * scale), round),
+                    // Far future.
+                    6 => schedule(&mut wheel, &mut heap, now + (r >> 32) % (1 << 34), round),
                     7 => {
-                        let at = now + scale;
                         for k in 0..4 {
-                            wheel.schedule_at(SimTime::from_nanos(at), round * 10 + k);
-                            heap.schedule_at(SimTime::from_nanos(at), round * 10 + k);
+                            schedule(&mut wheel, &mut heap, now + scale, round * 10 + k);
                         }
                     }
                     _ => {
@@ -454,12 +356,12 @@ mod tests {
                                 now = now.max(x.time.as_nanos());
                             }
                             (None, None) => {}
-                            _ => panic!("one backend empty, the other not"),
+                            _ => panic!("one queue empty, the other not"),
                         }
                     }
                 }
                 assert_eq!(wheel.len(), heap.len());
-                assert_eq!(wheel.peek_time(), heap.peek_time());
+                assert_eq!(wheel.peek_time(), heap.peek().map(|s| s.time));
             }
             // Drain: remaining streams must match to the last event.
             loop {
@@ -468,7 +370,7 @@ mod tests {
                         assert_eq!((x.time, x.seq), (y.time, y.seq));
                     }
                     (None, None) => break,
-                    _ => panic!("backends disagree on emptiness"),
+                    _ => panic!("queues disagree on emptiness"),
                 }
             }
         }
@@ -476,7 +378,7 @@ mod tests {
 
     #[test]
     fn wheel_survives_far_future_and_reuse_after_clear() {
-        let mut q = EventQueue::with_backend(QueueBackend::TimingWheel);
+        let mut q = EventQueue::new();
         // Far beyond the wheel span: overflow path.
         q.schedule_at(SimTime::from_secs(1_000_000), 1);
         q.schedule_at(SimTime::from_nanos(5), 0);

@@ -9,7 +9,10 @@
 //!    `tests/data/golden_gossip_campaign.jsonl`, pins the stale-knowledge
 //!    paths the ideal golden never reaches: balancer scans over gossip
 //!    `KnowledgeView`s and over the gossip-aware age-discounted view, at
-//!    integer and fractional distillation overheads.
+//!    integer and fractional distillation overheads. A third,
+//!    `tests/data/golden_decoherent_campaign.jsonl`, pins the lot store:
+//!    expiry purges, fidelity-floor rejections and per-edge `lab` fabric
+//!    link overrides under decoherent physics.
 //! 2. **Decoherent campaigns** populate the `fidelity_*` columns and
 //!    expired-pair counters, and stay deterministic across worker-thread
 //!    counts and shard partitions.
@@ -24,7 +27,7 @@ use qnet::campaign::{
 use qnet::core::classical::KnowledgeModel;
 use qnet::core::physics::{ConsumeOrder, PhysicsModel};
 use qnet::prelude::*;
-use qnet_topology::Topology;
+use qnet_topology::{FabricSpec, Topology};
 
 /// The exact grid `campaign --topologies cycle:7,torus:3 --modes
 /// oblivious,planned,hybrid --dist 1,2 --pairs 5 --requests 5 --replicates 2
@@ -71,6 +74,32 @@ fn golden_gossip_grid() -> ScenarioGrid {
         .with_horizon_s(1_000.0)
 }
 
+/// The exact grid `campaign --topologies cycle:7,torus:3 --modes
+/// oblivious,planned,hybrid --physics decoherent:1.5,decoherent:0.5:0.8
+/// --fabric none,lab --requests 6 --replicates 2 --horizon 600 --seed 5`
+/// built when the decoherent golden file was captured.
+fn golden_decoherent_grid() -> ScenarioGrid {
+    ScenarioGrid::new(5)
+        .with_topologies(vec![
+            Topology::Cycle { nodes: 7 },
+            Topology::TorusGrid { side: 3 },
+        ])
+        .with_modes(vec![
+            PolicyId::OBLIVIOUS,
+            PolicyId::PLANNED,
+            PolicyId::HYBRID,
+        ])
+        .with_distillations(vec![1.0, 2.0])
+        .with_physics(vec![
+            PhysicsModel::decoherent(1.5),
+            PhysicsModel::decoherent(0.5).with_fidelity_floor(0.8),
+        ])
+        .with_fabrics(vec![None, Some(FabricSpec::parse("lab").unwrap())])
+        .with_workloads(vec![WorkloadSpec::closed_loop(0, 10, 6)])
+        .with_replicates(2)
+        .with_horizon_s(600.0)
+}
+
 fn decoherent_grid() -> ScenarioGrid {
     ScenarioGrid::new(11)
         .with_topologies(vec![Topology::Cycle { nodes: 7 }])
@@ -106,6 +135,19 @@ fn gossip_campaign_reproduces_the_golden_bytes() {
     assert_eq!(
         jsonl, golden,
         "stale-knowledge campaign bytes drifted from the golden capture"
+    );
+}
+
+#[test]
+fn decoherent_campaign_reproduces_the_golden_bytes() {
+    let grid = golden_decoherent_grid();
+    assert_eq!(grid.scenario_count(), 96);
+    let report = aggregate(&grid, &run_campaign(&grid, &RunnerConfig::default()));
+    let jsonl = to_jsonl_string(&report);
+    let golden = include_str!("data/golden_decoherent_campaign.jsonl");
+    assert_eq!(
+        jsonl, golden,
+        "decoherent campaign bytes drifted from the golden capture"
     );
 }
 
