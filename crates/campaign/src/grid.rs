@@ -31,16 +31,15 @@ use qnet_core::policy::PolicyId;
 use qnet_core::workload::{PairSelection, TrafficModel, WorkloadSpec};
 use qnet_quantum::decoherence::DecoherenceModel;
 use qnet_topology::{FabricSpec, Topology};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// One fully resolved cell of the grid: every axis pinned to a value.
 ///
 /// Replicates share a cell; aggregation happens per cell.
 ///
 /// Serialization: closed-loop cells keep the exact legacy byte layout; the
-/// `traffic` field is emitted only for open-loop workloads (see the manual
-/// [`Serialize`] impl below).
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+/// `traffic` field is emitted only for open-loop workloads.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellKey {
     /// Dense index of this cell in the grid's expansion order.
     pub cell: usize,
@@ -48,7 +47,7 @@ pub struct CellKey {
     pub topology: String,
     /// Node count of the topology.
     pub nodes: usize,
-    /// Swap policy (serialized under its legacy `ProtocolMode` label for
+    /// Swap policy (serialized under its legacy variant label for
     /// the built-ins, so pre-refactor reports keep their bytes).
     pub mode: PolicyId,
     /// Distillation overhead `D`.
@@ -66,44 +65,17 @@ pub struct CellKey {
     pub coherence_time_s: Option<f64>,
     /// The link-physics model, for decoherent cells (`None` = ideal
     /// physics, omitted from JSON so legacy reports keep their bytes).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub physics: Option<PhysicsModel>,
     /// The traffic model, for open-loop cells (`None` = closed-loop batch,
     /// omitted from JSON so legacy reports keep their bytes).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub traffic: Option<TrafficModel>,
     /// The link fabric, for hardware-calibrated cells (`None` =
     /// homogeneous links, omitted from JSON so legacy reports keep their
     /// bytes).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub fabric: Option<FabricSpec>,
-}
-
-impl Serialize for CellKey {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("cell".to_string(), self.cell.to_value()),
-            ("topology".to_string(), self.topology.to_value()),
-            ("nodes".to_string(), self.nodes.to_value()),
-            ("mode".to_string(), self.mode.to_value()),
-            ("distillation".to_string(), self.distillation.to_value()),
-            ("knowledge".to_string(), self.knowledge.to_value()),
-            ("consumer_pairs".to_string(), self.consumer_pairs.to_value()),
-            ("requests".to_string(), self.requests.to_value()),
-            ("discipline".to_string(), self.discipline.to_value()),
-            (
-                "coherence_time_s".to_string(),
-                self.coherence_time_s.to_value(),
-            ),
-        ];
-        if let Some(physics) = &self.physics {
-            entries.push(("physics".to_string(), physics.to_value()));
-        }
-        if let Some(traffic) = &self.traffic {
-            entries.push(("traffic".to_string(), traffic.to_value()));
-        }
-        if let Some(fabric) = &self.fabric {
-            entries.push(("fabric".to_string(), fabric.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
 }
 
 /// One runnable scenario: a cell plus a replicate index and derived seed.
@@ -188,12 +160,12 @@ impl Deserialize for GridFingerprint {
 /// in shard files so `campaign merge` can re-derive cell keys and verify
 /// that every shard ran the same sweep. [`ScenarioGrid::fingerprint`]
 /// hashes exactly this serialization. The `physics` axis is emitted only
-/// when it differs from the all-ideal default (manual impls below), so
-/// pre-physics grids keep their exact canonical JSON — and therefore their
-/// fingerprints, cache files and shard files — while any grid that sweeps
-/// physics necessarily gets a distinct fingerprint (the cache-poisoning
-/// guard for the new axis).
-#[derive(Debug, Clone, PartialEq)]
+/// when it differs from the all-ideal default, so pre-physics grids keep
+/// their exact canonical JSON — and therefore their fingerprints, cache
+/// files and shard files — while any grid that sweeps physics necessarily
+/// gets a distinct fingerprint (the cache-poisoning guard for the new
+/// axis). The `fabrics` axis follows the same rule.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioGrid {
     /// Topology axis (outermost loop).
     pub topologies: Vec<Topology>,
@@ -208,10 +180,18 @@ pub struct ScenarioGrid {
     /// driven by the `physics` axis.
     pub coherence_times_s: Vec<Option<f64>>,
     /// Link-physics axis (`PhysicsModel::Ideal` = today's token model).
+    #[serde(
+        default = "ideal_physics_axis",
+        skip_serializing_if = "is_ideal_physics_axis"
+    )]
     pub physics: Vec<PhysicsModel>,
     /// Link-fabric axis (`None` = homogeneous links at the grid's
     /// `generation_rate`; `Some(spec)` attaches hardware-calibrated
     /// per-edge profiles).
+    #[serde(
+        default = "homogeneous_fabric_axis",
+        skip_serializing_if = "is_homogeneous_fabric_axis"
+    )]
     pub fabrics: Vec<Option<FabricSpec>>,
     /// Consumer pairs / request counts; `node_count` is patched per
     /// topology at expansion time.
@@ -228,73 +208,24 @@ pub struct ScenarioGrid {
     pub swap_scan_rate: f64,
 }
 
-impl Serialize for ScenarioGrid {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("topologies".to_string(), self.topologies.to_value()),
-            ("modes".to_string(), self.modes.to_value()),
-            ("distillations".to_string(), self.distillations.to_value()),
-            ("knowledge".to_string(), self.knowledge.to_value()),
-            (
-                "coherence_times_s".to_string(),
-                self.coherence_times_s.to_value(),
-            ),
-        ];
-        // The physics axis joins the canonical form only when it actually
-        // sweeps something: pre-physics grids keep their fingerprints.
-        if self.physics != vec![PhysicsModel::Ideal] {
-            entries.push(("physics".to_string(), self.physics.to_value()));
-        }
-        // Same guard for the fabric axis: homogeneous grids keep their
-        // pre-fabric fingerprints, cache files and shard files.
-        if self.fabrics != vec![None] {
-            entries.push(("fabrics".to_string(), self.fabrics.to_value()));
-        }
-        entries.extend([
-            ("workloads".to_string(), self.workloads.to_value()),
-            ("replicates".to_string(), self.replicates.to_value()),
-            ("master_seed".to_string(), self.master_seed.to_value()),
-            ("max_sim_time_s".to_string(), self.max_sim_time_s.to_value()),
-            (
-                "generation_rate".to_string(),
-                self.generation_rate.to_value(),
-            ),
-            ("swap_scan_rate".to_string(), self.swap_scan_rate.to_value()),
-        ]);
-        Value::Map(entries)
-    }
+/// The default physics axis: ideal physics only. Grids on it omit the axis
+/// from their canonical JSON, so pre-physics fingerprints stay valid.
+fn ideal_physics_axis() -> Vec<PhysicsModel> {
+    vec![PhysicsModel::Ideal]
 }
 
-impl Deserialize for ScenarioGrid {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        if value.as_map().is_none() {
-            return Err(DeError::expected("ScenarioGrid object", value));
-        }
-        let field = |name: &str| value.get_field(name).unwrap_or(&Value::Null);
-        let physics = match field("physics") {
-            Value::Null => vec![PhysicsModel::Ideal],
-            v => Deserialize::from_value(v)?,
-        };
-        let fabrics = match field("fabrics") {
-            Value::Null => vec![None],
-            v => Deserialize::from_value(v)?,
-        };
-        Ok(ScenarioGrid {
-            topologies: Deserialize::from_value(field("topologies"))?,
-            modes: Deserialize::from_value(field("modes"))?,
-            distillations: Deserialize::from_value(field("distillations"))?,
-            knowledge: Deserialize::from_value(field("knowledge"))?,
-            coherence_times_s: Deserialize::from_value(field("coherence_times_s"))?,
-            physics,
-            fabrics,
-            workloads: Deserialize::from_value(field("workloads"))?,
-            replicates: Deserialize::from_value(field("replicates"))?,
-            master_seed: Deserialize::from_value(field("master_seed"))?,
-            max_sim_time_s: Deserialize::from_value(field("max_sim_time_s"))?,
-            generation_rate: Deserialize::from_value(field("generation_rate"))?,
-            swap_scan_rate: Deserialize::from_value(field("swap_scan_rate"))?,
-        })
-    }
+fn is_ideal_physics_axis(axis: &[PhysicsModel]) -> bool {
+    axis == [PhysicsModel::Ideal]
+}
+
+/// The default fabric axis: homogeneous links only, omitted from the
+/// canonical JSON like the default physics axis.
+fn homogeneous_fabric_axis() -> Vec<Option<FabricSpec>> {
+    vec![None]
+}
+
+fn is_homogeneous_fabric_axis(axis: &[Option<FabricSpec>]) -> bool {
+    axis == [None]
 }
 
 impl ScenarioGrid {
@@ -322,116 +253,157 @@ impl ScenarioGrid {
     /// Builder: set the topology axis.
     pub fn with_topologies(mut self, topologies: impl Into<Vec<Topology>>) -> Self {
         self.topologies = topologies.into();
-        assert!(!self.topologies.is_empty(), "topology axis cannot be empty");
-        self
+        self.checked()
     }
 
     /// Builder: set the swap-policy axis.
     pub fn with_modes(mut self, modes: impl Into<Vec<PolicyId>>) -> Self {
         self.modes = modes.into();
-        assert!(!self.modes.is_empty(), "mode axis cannot be empty");
-        self
+        self.checked()
     }
 
     /// Builder: set the distillation axis.
     pub fn with_distillations(mut self, ds: impl Into<Vec<f64>>) -> Self {
         self.distillations = ds.into();
-        assert!(
-            self.distillations.iter().all(|&d| d >= 1.0),
-            "distillation overheads must be ≥ 1"
-        );
-        assert!(
-            !self.distillations.is_empty(),
-            "distillation axis cannot be empty"
-        );
-        self
+        self.checked()
     }
 
     /// Builder: set the knowledge-model axis.
     pub fn with_knowledge(mut self, ks: impl Into<Vec<KnowledgeModel>>) -> Self {
         self.knowledge = ks.into();
-        assert!(!self.knowledge.is_empty(), "knowledge axis cannot be empty");
-        self
+        self.checked()
     }
 
     /// Builder: set the coherence-time axis (`None` = ideal memories).
     /// This axis sets only the *static* [`NetworkConfig::decoherence`]
     /// field (the LP extensions); live pair decay comes from the physics
-    /// axis, whose models carry their own coherence times. Combining a
-    /// non-trivial coherence axis with decoherent physics would fork seeds
-    /// and report rows for cells that simulate identically, so the
-    /// builders refuse the combination.
+    /// axis, whose models carry their own coherence times, so a
+    /// non-trivial coherence axis cannot combine with decoherent physics
+    /// (see [`ScenarioGrid::check`]).
     pub fn with_coherence_times(mut self, ts: impl Into<Vec<Option<f64>>>) -> Self {
         self.coherence_times_s = ts.into();
-        assert!(
-            !self.coherence_times_s.is_empty(),
-            "coherence-time axis cannot be empty"
-        );
-        self.assert_coherence_physics_disjoint();
-        self
+        self.checked()
     }
 
     /// Builder: set the link-physics axis.
     pub fn with_physics(mut self, ps: impl Into<Vec<PhysicsModel>>) -> Self {
         self.physics = ps.into();
-        assert!(!self.physics.is_empty(), "physics axis cannot be empty");
-        self.assert_coherence_physics_disjoint();
-        self
-    }
-
-    /// A non-trivial coherence-time axis alongside decoherent physics
-    /// would sweep a knob the decoherent cells ignore (their models carry
-    /// their own coherence times), forking seeds and report rows for
-    /// identical simulations — refuse it at construction.
-    fn assert_coherence_physics_disjoint(&self) {
-        assert!(
-            self.coherence_times_s.iter().all(Option::is_none)
-                || self.physics.iter().all(PhysicsModel::is_ideal),
-            "a non-trivial coherence-time axis cannot combine with decoherent physics \
-             (decoherent models carry their own coherence times; sweep --physics instead)"
-        );
+        self.checked()
     }
 
     /// Builder: set the link-fabric axis (`None` = homogeneous links).
     pub fn with_fabrics(mut self, fs: impl Into<Vec<Option<FabricSpec>>>) -> Self {
         self.fabrics = fs.into();
-        assert!(!self.fabrics.is_empty(), "fabric axis cannot be empty");
-        self
+        self.checked()
     }
 
     /// Builder: set the workload axis.
     pub fn with_workloads(mut self, ws: impl Into<Vec<WorkloadSpec>>) -> Self {
         self.workloads = ws.into();
-        assert!(!self.workloads.is_empty(), "workload axis cannot be empty");
-        self
+        self.checked()
     }
 
     /// Builder: set replicates per cell.
     pub fn with_replicates(mut self, replicates: u32) -> Self {
-        assert!(replicates >= 1, "need at least one replicate per cell");
         self.replicates = replicates;
-        self
+        self.checked()
     }
 
     /// Builder: set the per-run horizon.
     pub fn with_horizon_s(mut self, horizon: f64) -> Self {
-        assert!(horizon > 0.0, "horizon must be positive");
         self.max_sim_time_s = horizon;
-        self
+        self.checked()
     }
 
     /// Builder: set the generation rate.
     pub fn with_generation_rate(mut self, rate: f64) -> Self {
-        assert!(rate > 0.0, "generation rate must be positive");
         self.generation_rate = rate;
-        self
+        self.checked()
     }
 
     /// Builder: set the swap-scan rate.
     pub fn with_swap_scan_rate(mut self, rate: f64) -> Self {
-        assert!(rate > 0.0, "swap scan rate must be positive");
         self.swap_scan_rate = rate;
+        self.checked()
+    }
+
+    /// The rules every runnable grid satisfies: no axis is empty, every
+    /// topology has at least two nodes (consumer pairs need two
+    /// endpoints), distillation overheads are `≥ 1`, a non-trivial
+    /// coherence-time axis does not combine with decoherent physics, there
+    /// is at least one replicate, and the horizon and both rates are
+    /// positive. NaN fails every numeric rule.
+    ///
+    /// The builders panic when a rule fails; grid descriptors read from
+    /// files (`--grid-file`, shard headers, orchestrator run directories)
+    /// return the error instead, so bad input never reaches a worker
+    /// thread.
+    pub fn check(&self) -> Result<(), String> {
+        let axes = [
+            ("topology", self.topologies.len()),
+            ("mode", self.modes.len()),
+            ("distillation", self.distillations.len()),
+            ("knowledge", self.knowledge.len()),
+            ("coherence-time", self.coherence_times_s.len()),
+            ("physics", self.physics.len()),
+            ("fabric", self.fabrics.len()),
+            ("workload", self.workloads.len()),
+        ];
+        if let Some((axis, _)) = axes.iter().find(|(_, len)| *len == 0) {
+            return Err(format!("{axis} axis cannot be empty"));
+        }
+        if let Some(t) = self.topologies.iter().find(|t| t.node_count() < 2) {
+            return Err(format!(
+                "topology {} has fewer than 2 nodes; consumer pairs need at least 2",
+                t.label()
+            ));
+        }
+        if let Some(d) = self.distillations.iter().find(|d| !(1.0..).contains(*d)) {
+            return Err(format!("distillation overheads must be ≥ 1 (got {d})"));
+        }
+        // A non-trivial coherence-time axis alongside decoherent physics
+        // would sweep a knob the decoherent cells ignore (their models
+        // carry their own coherence times), forking seeds and report rows
+        // for identical simulations.
+        if !self.coherence_times_s.iter().all(Option::is_none)
+            && !self.physics.iter().all(PhysicsModel::is_ideal)
+        {
+            return Err(
+                "a non-trivial coherence-time axis cannot combine with decoherent physics \
+                 (decoherent models carry their own coherence times; sweep --physics instead)"
+                    .to_string(),
+            );
+        }
+        if self.replicates < 1 {
+            return Err("need at least one replicate per cell".to_string());
+        }
+        let positive = |x: f64| x > 0.0;
+        for (what, value) in [
+            ("horizon", self.max_sim_time_s),
+            ("generation rate", self.generation_rate),
+            ("swap scan rate", self.swap_scan_rate),
+        ] {
+            if !positive(value) {
+                return Err(format!("{what} must be positive (got {value})"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Builders' tail: panic unless the grid passes [`ScenarioGrid::check`].
+    fn checked(self) -> Self {
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
         self
+    }
+
+    /// Parse a JSON grid descriptor (as `campaign orchestrate` writes it)
+    /// and [`ScenarioGrid::check`] it.
+    pub fn from_json(text: &str) -> Result<ScenarioGrid, String> {
+        let grid: ScenarioGrid = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        grid.check()?;
+        Ok(grid)
     }
 
     /// The content-derived identity of this grid: a stable hash of every
@@ -642,6 +614,7 @@ pub fn derive_seed(master: u64, cell: u64, replicate: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn small_grid() -> ScenarioGrid {
         ScenarioGrid::new(7)
@@ -830,6 +803,42 @@ mod tests {
         let _ = small_grid()
             .with_physics(vec![PhysicsModel::decoherent(0.5)])
             .with_coherence_times(vec![None, Some(5.0)]);
+    }
+
+    /// Descriptors that break one builder rule each: the reader rejects
+    /// them with the rule's message, where running them used to panic a
+    /// worker thread.
+    #[test]
+    fn descriptors_breaking_a_builder_rule_are_rejected() {
+        let valid = serde_json::to_value(&small_grid()).unwrap();
+        for (key, bad, message) in [
+            (
+                "distillations",
+                "[0.5]",
+                "distillation overheads must be ≥ 1",
+            ),
+            ("generation_rate", "0", "generation rate must be positive"),
+            ("swap_scan_rate", "0", "swap scan rate must be positive"),
+            (
+                "topologies",
+                r#"[{"Cycle":{"nodes":1}}]"#,
+                "fewer than 2 nodes",
+            ),
+        ] {
+            let mut descriptor = valid.clone();
+            let Value::Map(entries) = &mut descriptor else {
+                unreachable!("grids serialize to objects")
+            };
+            entries.iter_mut().find(|(k, _)| k == key).unwrap().1 =
+                serde_json::from_str(bad).unwrap();
+            let text = serde_json::to_string(&descriptor).unwrap();
+            let err = ScenarioGrid::from_json(&text).unwrap_err();
+            assert!(err.contains(message), "{key}: {err}");
+        }
+        assert_eq!(
+            ScenarioGrid::from_json(&serde_json::to_string(&valid).unwrap()).unwrap(),
+            small_grid()
+        );
     }
 
     #[test]

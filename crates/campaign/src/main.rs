@@ -466,34 +466,16 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown argument '{other}' (try --help)")),
         }
     }
-    // Validate here so bad input exits with a message, not a panic from the
-    // grid builder's asserts.
-    if opts.replicates < 1 {
-        return Err("--replicates must be at least 1".to_string());
-    }
-    if let Some(d) = opts.distillations.iter().find(|&&d| d < 1.0) {
-        return Err(format!("--dist values must be ≥ 1 (got {d})"));
-    }
-    if opts.horizon <= 0.0 {
-        return Err("--horizon must be positive".to_string());
-    }
+    // Validate here so bad input exits with a message, not a panic from a
+    // grid builder or a worker thread.
     if opts.pairs < 1 || opts.requests < 1 {
         return Err("--pairs and --requests must be at least 1".to_string());
     }
-    // Validate workload specs early so bad input exits with a message.
     for w in &opts.workloads {
         parse_workload(w, opts.requests, opts.horizon)?;
     }
-    if let Some(t) = opts
-        .topologies
-        .iter()
-        .chain(&opts.fabric_topologies)
-        .find(|t| t.node_count() < 2)
-    {
-        return Err(format!(
-            "topology {} has fewer than 2 nodes; consumer pairs need at least 2",
-            t.label()
-        ));
+    if opts.grid_file.is_none() {
+        build_grid(&opts)?;
     }
     if opts.shard.is_some() && opts.compare_serial {
         return Err(
@@ -518,10 +500,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 fn load_grid_file(path: &str) -> Result<ScenarioGrid, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read grid file {path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("grid file {path}: {e}"))
+    ScenarioGrid::from_json(&text).map_err(|e| format!("grid file {path}: {e}"))
 }
 
-fn build_grid(opts: &Options) -> ScenarioGrid {
+/// The grid the grid-shaping flags describe, checked with
+/// [`ScenarioGrid::check`]. Workload specs must already have parsed
+/// (`parse_args` validates them first).
+fn build_grid(opts: &Options) -> Result<ScenarioGrid, String> {
     let workloads: Vec<WorkloadSpec> = if opts.workloads.is_empty() {
         // The pre-traffic-model default: one closed-loop uniform cell.
         vec![WorkloadSpec::closed_loop(0, opts.pairs, opts.requests)]
@@ -548,16 +533,20 @@ fn build_grid(opts: &Options) -> ScenarioGrid {
     } else {
         opts.fabrics.clone()
     };
-    ScenarioGrid::new(opts.seed)
-        .with_topologies(topologies)
-        .with_modes(opts.modes.clone())
-        .with_distillations(opts.distillations.clone())
-        .with_knowledge(opts.knowledge.clone())
-        .with_physics(opts.physics.clone())
-        .with_fabrics(fabrics)
-        .with_workloads(workloads)
-        .with_replicates(opts.replicates)
-        .with_horizon_s(opts.horizon)
+    let grid = ScenarioGrid {
+        topologies,
+        modes: opts.modes.clone(),
+        distillations: opts.distillations.clone(),
+        knowledge: opts.knowledge.clone(),
+        physics: opts.physics.clone(),
+        fabrics,
+        workloads,
+        replicates: opts.replicates,
+        max_sim_time_s: opts.horizon,
+        ..ScenarioGrid::new(opts.seed)
+    };
+    grid.check()?;
+    Ok(grid)
 }
 
 /// Shard files inside `dir` (`shard-*.jsonl`, sealed only), sorted by name
@@ -848,7 +837,7 @@ fn run_orchestrate(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            None => build_grid(&opts),
+            None => build_grid(&opts).expect("validated in parse_args"),
         };
         orchestrate(&grid, &config)
     };
@@ -929,7 +918,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         },
-        None => build_grid(&opts),
+        None => build_grid(&opts).expect("validated in parse_args"),
     };
     eprintln!(
         "campaign: {} cells × {} replicates = {} scenarios ({} topologies × {} modes × {} D × {} knowledge × {} physics × {} fabrics × {} workloads)",
@@ -1415,7 +1404,7 @@ mod tests {
     #[test]
     fn default_grid_is_the_108_scenario_sweep() {
         let opts = parse_args(&[]).unwrap();
-        let grid = build_grid(&opts);
+        let grid = build_grid(&opts).unwrap();
         // 3 topologies × 3 modes × 2 D × 1 knowledge × 1 workload × 6
         // replicates — the default smoke sweep CI runs.
         assert_eq!(grid.cell_count(), 18);
@@ -1470,7 +1459,7 @@ mod tests {
     #[test]
     fn physics_flag_builds_the_axis() {
         let opts = parse_args(&args(&["--physics", "ideal,decoherent:2:0.7"])).unwrap();
-        let grid = build_grid(&opts);
+        let grid = build_grid(&opts).unwrap();
         assert_eq!(grid.physics.len(), 2);
         assert!(grid.physics[0].is_ideal());
         assert_eq!(grid.physics[1].fidelity_floor(), Some(0.7));
@@ -1523,7 +1512,7 @@ mod tests {
     #[test]
     fn default_grid_has_no_fabric_axis_and_keeps_its_fingerprint() {
         let opts = parse_args(&[]).unwrap();
-        let grid = build_grid(&opts);
+        let grid = build_grid(&opts).unwrap();
         assert_eq!(grid.fabrics, vec![None]);
         // The default 108-scenario sweep must keep its pre-fabric content
         // address, or every cached outcome and shard file goes stale.
@@ -1535,7 +1524,7 @@ mod tests {
         use qnet_topology::HardwarePreset;
         let opts =
             parse_args(&args(&["--fabric", "none,scale-free:1000@metro-fiber,lab"])).unwrap();
-        let grid = build_grid(&opts);
+        let grid = build_grid(&opts).unwrap();
         assert_eq!(
             grid.fabrics,
             vec![

@@ -258,7 +258,7 @@ pub fn load_run_dir(dir: &Path) -> Result<(ScenarioGrid, usize), String> {
             layout.grid_path().display()
         )
     })?;
-    let grid: ScenarioGrid = serde_json::from_str(&grid_text)
+    let grid = ScenarioGrid::from_json(&grid_text)
         .map_err(|e| format!("{}: {e}", layout.grid_path().display()))?;
     let manifest_text = fs::read_to_string(layout.manifest_path())
         .map_err(|e| format!("cannot read {}: {e}", layout.manifest_path().display()))?;

@@ -21,6 +21,7 @@
 
 use crate::grid::{CellKey, ScenarioGrid};
 use crate::runner::{CampaignResult, ScenarioOutcome};
+use qnet_core::metrics::is_zero;
 use qnet_core::policy::{PolicyFamily, PolicyId};
 use qnet_sim::stats::{percentile_of_sorted, RunningStats};
 use serde::{Deserialize, Serialize};
@@ -29,10 +30,11 @@ use std::io::{self, Write};
 /// Aggregated statistics over one cell's replicates.
 ///
 /// Serialization: the latency columns are emitted only when present
-/// (open-loop cells), and the fidelity/expiry columns only when populated
-/// (decoherent-physics cells), so legacy reports keep the exact legacy byte
-/// layout — see the manual impls below.
-#[derive(Debug, Clone, PartialEq)]
+/// (open-loop cells), the fidelity/expiry columns only when populated
+/// (decoherent-physics cells) and the staleness columns only for
+/// stale-control-plane cells, so legacy reports keep the exact legacy byte
+/// layout.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellReport {
     /// The cell's axis values.
     pub key: CellKey,
@@ -69,172 +71,50 @@ pub struct CellReport {
     pub count_update_messages_total: u64,
     /// Mean of the per-replicate mean sojourn latencies, in simulated
     /// seconds (open-loop cells with at least one satisfaction only).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub latency_mean_s: Option<f64>,
     /// Half-width of the 95% CI on the mean sojourn latency
     /// (`None` below 2 latency samples).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub latency_ci95_s: Option<f64>,
     /// Mean of the per-replicate median sojourn latencies.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub latency_p50_s: Option<f64>,
     /// Mean of the per-replicate 95th-percentile sojourn latencies.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub latency_p95_s: Option<f64>,
     /// Mean of the per-replicate mean delivered fidelities
     /// (decoherent-physics cells with at least one satisfaction only).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub fidelity_mean: Option<f64>,
     /// Half-width of the 95% CI on the mean delivered fidelity
     /// (`None` below 2 fidelity samples).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub fidelity_ci95: Option<f64>,
     /// Mean of the per-replicate median delivered fidelities.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub fidelity_p50: Option<f64>,
     /// Mean of the per-replicate 95th-percentile delivered fidelities.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub fidelity_p95: Option<f64>,
     /// Total pairs discarded by the physics cutoff across replicates.
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub expired_pairs_total: u64,
     /// Total deliveries rejected below the fidelity floor across
     /// replicates.
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub fidelity_rejected_total: u64,
     /// Total believed-feasible actions that failed against drifted truth
     /// across replicates (stale-control-plane cells only).
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub missed_swaps_total: u64,
     /// Mean of the per-replicate mean believed-row ages at decision time,
     /// seconds (stale cells with at least one stale decision only).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub stale_row_age_mean_s: Option<f64>,
     /// Mean of the per-replicate 95th-percentile believed-row ages.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub stale_row_age_p95_s: Option<f64>,
-}
-
-impl Serialize for CellReport {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("key".to_string(), self.key.to_value()),
-            ("replicates".to_string(), self.replicates.to_value()),
-            (
-                "overhead_samples".to_string(),
-                self.overhead_samples.to_value(),
-            ),
-            ("overhead_mean".to_string(), self.overhead_mean.to_value()),
-            (
-                "overhead_variance".to_string(),
-                self.overhead_variance.to_value(),
-            ),
-            ("overhead_ci95".to_string(), self.overhead_ci95.to_value()),
-            ("overhead_p10".to_string(), self.overhead_p10.to_value()),
-            ("overhead_p50".to_string(), self.overhead_p50.to_value()),
-            ("overhead_p90".to_string(), self.overhead_p90.to_value()),
-            ("overhead_min".to_string(), self.overhead_min.to_value()),
-            ("overhead_max".to_string(), self.overhead_max.to_value()),
-            (
-                "satisfaction_mean".to_string(),
-                self.satisfaction_mean.to_value(),
-            ),
-            ("swaps_total".to_string(), self.swaps_total.to_value()),
-            (
-                "pairs_generated_total".to_string(),
-                self.pairs_generated_total.to_value(),
-            ),
-            (
-                "simulated_seconds_mean".to_string(),
-                self.simulated_seconds_mean.to_value(),
-            ),
-            (
-                "count_update_messages_total".to_string(),
-                self.count_update_messages_total.to_value(),
-            ),
-        ];
-        // Latency columns exist only for open-loop cells, and fidelity
-        // columns only for decoherent-physics cells; omitting them (rather
-        // than writing null) keeps legacy reports byte-identical.
-        for (name, value) in [
-            ("latency_mean_s", self.latency_mean_s),
-            ("latency_ci95_s", self.latency_ci95_s),
-            ("latency_p50_s", self.latency_p50_s),
-            ("latency_p95_s", self.latency_p95_s),
-            ("fidelity_mean", self.fidelity_mean),
-            ("fidelity_ci95", self.fidelity_ci95),
-            ("fidelity_p50", self.fidelity_p50),
-            ("fidelity_p95", self.fidelity_p95),
-        ] {
-            if let Some(v) = value {
-                entries.push((name.to_string(), v.to_value()));
-            }
-        }
-        if self.expired_pairs_total > 0 {
-            entries.push((
-                "expired_pairs_total".to_string(),
-                self.expired_pairs_total.to_value(),
-            ));
-        }
-        if self.fidelity_rejected_total > 0 {
-            entries.push((
-                "fidelity_rejected_total".to_string(),
-                self.fidelity_rejected_total.to_value(),
-            ));
-        }
-        // Staleness columns join only for stale-control-plane cells, so
-        // global-knowledge reports keep the legacy byte layout.
-        if self.missed_swaps_total > 0 {
-            entries.push((
-                "missed_swaps_total".to_string(),
-                self.missed_swaps_total.to_value(),
-            ));
-        }
-        for (name, value) in [
-            ("stale_row_age_mean_s", self.stale_row_age_mean_s),
-            ("stale_row_age_p95_s", self.stale_row_age_p95_s),
-        ] {
-            if let Some(v) = value {
-                entries.push((name.to_string(), v.to_value()));
-            }
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for CellReport {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        if value.as_map().is_none() {
-            return Err(serde::DeError::expected("CellReport object", value));
-        }
-        let field = |name: &str| value.get_field(name).unwrap_or(&serde::Value::Null);
-        let counter = |name: &str| -> Result<u64, serde::DeError> {
-            match field(name) {
-                serde::Value::Null => Ok(0),
-                v => Deserialize::from_value(v),
-            }
-        };
-        Ok(CellReport {
-            key: Deserialize::from_value(field("key"))?,
-            replicates: Deserialize::from_value(field("replicates"))?,
-            overhead_samples: Deserialize::from_value(field("overhead_samples"))?,
-            overhead_mean: Deserialize::from_value(field("overhead_mean"))?,
-            overhead_variance: Deserialize::from_value(field("overhead_variance"))?,
-            overhead_ci95: Deserialize::from_value(field("overhead_ci95"))?,
-            overhead_p10: Deserialize::from_value(field("overhead_p10"))?,
-            overhead_p50: Deserialize::from_value(field("overhead_p50"))?,
-            overhead_p90: Deserialize::from_value(field("overhead_p90"))?,
-            overhead_min: Deserialize::from_value(field("overhead_min"))?,
-            overhead_max: Deserialize::from_value(field("overhead_max"))?,
-            satisfaction_mean: Deserialize::from_value(field("satisfaction_mean"))?,
-            swaps_total: Deserialize::from_value(field("swaps_total"))?,
-            pairs_generated_total: Deserialize::from_value(field("pairs_generated_total"))?,
-            simulated_seconds_mean: Deserialize::from_value(field("simulated_seconds_mean"))?,
-            count_update_messages_total: Deserialize::from_value(field(
-                "count_update_messages_total",
-            ))?,
-            latency_mean_s: Deserialize::from_value(field("latency_mean_s"))?,
-            latency_ci95_s: Deserialize::from_value(field("latency_ci95_s"))?,
-            latency_p50_s: Deserialize::from_value(field("latency_p50_s"))?,
-            latency_p95_s: Deserialize::from_value(field("latency_p95_s"))?,
-            fidelity_mean: Deserialize::from_value(field("fidelity_mean"))?,
-            fidelity_ci95: Deserialize::from_value(field("fidelity_ci95"))?,
-            fidelity_p50: Deserialize::from_value(field("fidelity_p50"))?,
-            fidelity_p95: Deserialize::from_value(field("fidelity_p95"))?,
-            expired_pairs_total: counter("expired_pairs_total")?,
-            fidelity_rejected_total: counter("fidelity_rejected_total")?,
-            missed_swaps_total: counter("missed_swaps_total")?,
-            stale_row_age_mean_s: Deserialize::from_value(field("stale_row_age_mean_s"))?,
-            stale_row_age_p95_s: Deserialize::from_value(field("stale_row_age_p95_s"))?,
-        })
-    }
 }
 
 /// Oblivious-vs-planned comparison for one matched pair of cells.

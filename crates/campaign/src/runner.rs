@@ -23,7 +23,8 @@
 use crate::cache::OutcomeCache;
 use crate::grid::ScenarioGrid;
 use qnet_core::experiment::{Experiment, ExperimentResult};
-use serde::{DeError, Deserialize, Serialize, Value};
+use qnet_core::metrics::is_zero;
+use serde::{Deserialize, Serialize};
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -79,11 +80,13 @@ impl RunnerConfig {
 /// measurements aggregation consumes. Deliberately wall-clock-free so
 /// reports are deterministic.
 ///
-/// Serialization (manual impls below): the physics columns — `fidelity_*`,
-/// `expired_pairs`, `fidelity_rejected` — are emitted only when populated,
-/// so ideal-physics outcomes keep the exact legacy byte layout in cache and
-/// shard files, and legacy lines load with the physics columns empty.
-#[derive(Debug, Clone, PartialEq)]
+/// Serialization: the physics columns — `fidelity_*`, `expired_pairs`,
+/// `fidelity_rejected` — and the staleness columns are emitted only when
+/// populated, so ideal-physics outcomes keep the exact legacy byte layout
+/// in cache and shard files, and legacy lines load with those columns
+/// empty. `swap_overhead` and the `latency_*` columns are always written,
+/// as `null` when empty.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioOutcome {
     /// Scenario id.
     pub id: usize,
@@ -118,157 +121,41 @@ pub struct ScenarioOutcome {
     pub latency_p95_s: Option<f64>,
     /// Mean delivered end-to-end fidelity (decoherent-physics scenarios
     /// with at least one satisfaction only).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub fidelity_mean: Option<f64>,
     /// Median delivered fidelity (decoherent-physics scenarios only).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub fidelity_p50: Option<f64>,
     /// 95th-percentile delivered fidelity (decoherent-physics scenarios
     /// only).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub fidelity_p95: Option<f64>,
     /// Stored pairs discarded by the physics cutoff (0 under ideal physics).
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub expired_pairs: u64,
     /// Deliveries rejected for falling below the fidelity floor (0 under
     /// ideal physics).
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub fidelity_rejected: u64,
     /// Believed-feasible actions that failed against drifted ground truth
     /// (0 outside stale-control-plane scenarios).
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub missed_swaps: u64,
     /// Mean age (seconds) of the believed rows stale decisions consulted
     /// (stale-control-plane scenarios with at least one decision only).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub stale_row_age_mean_s: Option<f64>,
     /// 95th-percentile believed-row age at decision time (stale scenarios
     /// only).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub stale_row_age_p95_s: Option<f64>,
     /// True when the run crossed the metrics recorder's exact-sample
     /// threshold: its latency/fidelity quantiles come from the fixed-memory
     /// log-bucketed sketch (~0.4 % relative value error) instead of exact
     /// nearest-rank. Emitted only when true, so small-run outcomes keep the
     /// legacy byte layout.
+    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub sketch_quantiles: bool,
-}
-
-impl Serialize for ScenarioOutcome {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("id".to_string(), self.id.to_value()),
-            ("cell".to_string(), self.cell.to_value()),
-            ("replicate".to_string(), self.replicate.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("swap_overhead".to_string(), self.swap_overhead.to_value()),
-            (
-                "satisfied_requests".to_string(),
-                self.satisfied_requests.to_value(),
-            ),
-            (
-                "arrived_requests".to_string(),
-                self.arrived_requests.to_value(),
-            ),
-            (
-                "unsatisfied_requests".to_string(),
-                self.unsatisfied_requests.to_value(),
-            ),
-            (
-                "swaps_performed".to_string(),
-                self.swaps_performed.to_value(),
-            ),
-            (
-                "pairs_generated".to_string(),
-                self.pairs_generated.to_value(),
-            ),
-            (
-                "simulated_seconds".to_string(),
-                self.simulated_seconds.to_value(),
-            ),
-            (
-                "count_update_messages".to_string(),
-                self.count_update_messages.to_value(),
-            ),
-            ("latency_mean_s".to_string(), self.latency_mean_s.to_value()),
-            ("latency_p50_s".to_string(), self.latency_p50_s.to_value()),
-            ("latency_p95_s".to_string(), self.latency_p95_s.to_value()),
-        ];
-        // Physics columns join only when populated: ideal outcomes keep the
-        // legacy cache/shard byte layout.
-        for (name, value) in [
-            ("fidelity_mean", self.fidelity_mean),
-            ("fidelity_p50", self.fidelity_p50),
-            ("fidelity_p95", self.fidelity_p95),
-        ] {
-            if let Some(v) = value {
-                entries.push((name.to_string(), v.to_value()));
-            }
-        }
-        if self.expired_pairs > 0 {
-            entries.push(("expired_pairs".to_string(), self.expired_pairs.to_value()));
-        }
-        if self.fidelity_rejected > 0 {
-            entries.push((
-                "fidelity_rejected".to_string(),
-                self.fidelity_rejected.to_value(),
-            ));
-        }
-        // Staleness columns join only for stale-control-plane scenarios:
-        // global-knowledge outcomes keep the legacy byte layout.
-        if self.missed_swaps > 0 {
-            entries.push(("missed_swaps".to_string(), self.missed_swaps.to_value()));
-        }
-        if let Some(v) = self.stale_row_age_mean_s {
-            entries.push(("stale_row_age_mean_s".to_string(), v.to_value()));
-        }
-        if let Some(v) = self.stale_row_age_p95_s {
-            entries.push(("stale_row_age_p95_s".to_string(), v.to_value()));
-        }
-        if self.sketch_quantiles {
-            entries.push((
-                "sketch_quantiles".to_string(),
-                self.sketch_quantiles.to_value(),
-            ));
-        }
-        Value::Map(entries)
-    }
-}
-
-impl Deserialize for ScenarioOutcome {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        if value.as_map().is_none() {
-            return Err(DeError::expected("ScenarioOutcome object", value));
-        }
-        let field = |name: &str| value.get_field(name).unwrap_or(&Value::Null);
-        let counter = |name: &str| -> Result<u64, DeError> {
-            match field(name) {
-                Value::Null => Ok(0),
-                v => Deserialize::from_value(v),
-            }
-        };
-        Ok(ScenarioOutcome {
-            id: Deserialize::from_value(field("id"))?,
-            cell: Deserialize::from_value(field("cell"))?,
-            replicate: Deserialize::from_value(field("replicate"))?,
-            seed: Deserialize::from_value(field("seed"))?,
-            swap_overhead: Deserialize::from_value(field("swap_overhead"))?,
-            satisfied_requests: Deserialize::from_value(field("satisfied_requests"))?,
-            arrived_requests: Deserialize::from_value(field("arrived_requests"))?,
-            unsatisfied_requests: Deserialize::from_value(field("unsatisfied_requests"))?,
-            swaps_performed: Deserialize::from_value(field("swaps_performed"))?,
-            pairs_generated: Deserialize::from_value(field("pairs_generated"))?,
-            simulated_seconds: Deserialize::from_value(field("simulated_seconds"))?,
-            count_update_messages: Deserialize::from_value(field("count_update_messages"))?,
-            latency_mean_s: Deserialize::from_value(field("latency_mean_s"))?,
-            latency_p50_s: Deserialize::from_value(field("latency_p50_s"))?,
-            latency_p95_s: Deserialize::from_value(field("latency_p95_s"))?,
-            fidelity_mean: Deserialize::from_value(field("fidelity_mean"))?,
-            fidelity_p50: Deserialize::from_value(field("fidelity_p50"))?,
-            fidelity_p95: Deserialize::from_value(field("fidelity_p95"))?,
-            expired_pairs: counter("expired_pairs")?,
-            fidelity_rejected: counter("fidelity_rejected")?,
-            missed_swaps: counter("missed_swaps")?,
-            stale_row_age_mean_s: Deserialize::from_value(field("stale_row_age_mean_s"))?,
-            stale_row_age_p95_s: Deserialize::from_value(field("stale_row_age_p95_s"))?,
-            sketch_quantiles: match field("sketch_quantiles") {
-                Value::Null => false,
-                v => Deserialize::from_value(v)?,
-            },
-        })
-    }
 }
 
 impl ScenarioOutcome {

@@ -175,6 +175,8 @@ pub fn read_shard(text: &str) -> Result<ShardFile, String> {
             .clone(),
     )
     .map_err(|e| format!("shard header grid: {e}"))?;
+    grid.check()
+        .map_err(|e| format!("shard header grid: {e}"))?;
     let fingerprint = GridFingerprint::parse_hex(
         header
             .get_field("fingerprint")
@@ -316,9 +318,11 @@ pub fn merge_shards(shards: Vec<ShardFile>) -> Result<(ScenarioGrid, CampaignRes
 mod tests {
     use super::*;
     use crate::runner::{run_campaign, run_scenarios_with_progress, RunnerConfig};
+    use proptest::prelude::*;
     use qnet_core::policy::PolicyId;
     use qnet_core::workload::WorkloadSpec;
     use qnet_topology::Topology;
+    use std::sync::OnceLock;
 
     fn tiny_grid() -> ScenarioGrid {
         ScenarioGrid::new(17)
@@ -419,6 +423,82 @@ mod tests {
         assert!(merge_shards(vec![shard(0, 2), foreign]).is_err());
         // Empty input.
         assert!(merge_shards(Vec::new()).is_err());
+    }
+
+    #[test]
+    fn read_shard_rejects_a_grid_that_breaks_a_builder_rule() {
+        // A header whose fingerprint matches its grid, but whose grid could
+        // never have been built: the reader rejects it before any worker
+        // runs it.
+        let mut grid = tiny_grid();
+        grid.swap_scan_rate = 0.0;
+        let text = shard_to_string(&grid, ShardSpec::new(0, 1).unwrap(), &[]);
+        let err = read_shard(&text).unwrap_err();
+        assert!(err.contains("swap scan rate must be positive"), "{err}");
+    }
+
+    /// One cache line, one small shard file and one grid descriptor, all
+    /// well-formed: the seeds of the reader fuzz property.
+    fn fuzz_seeds() -> &'static [String; 3] {
+        static SEEDS: OnceLock<[String; 3]> = OnceLock::new();
+        SEEDS.get_or_init(|| {
+            let grid = tiny_grid();
+            let spec = ShardSpec::new(1, 3).unwrap();
+            let outcomes = run_shard_outcomes(&grid, spec);
+            [
+                crate::cache::encode_outcome_line(grid.fingerprint(), &outcomes[0]),
+                shard_to_string(&grid, spec, &outcomes),
+                serde_json::to_string(&grid).unwrap(),
+            ]
+        })
+    }
+
+    /// Bytes that steer a mutation into the JSON grammar rather than
+    /// straight into a syntax error.
+    const JSON_BYTES: &[u8] = b"0123456789-+.eE\"{}[]:,nulltruefalse\\u \n";
+
+    proptest! {
+        /// Truncated and byte-mutated cache lines, shard files and grid
+        /// descriptors are read to `Ok` or `Err`, never to a panic.
+        #[test]
+        fn readers_never_panic_on_truncated_or_mutated_input(
+            keep in 0.0f64..1.5,
+            flips in collection::vec((0.0f64..1.0, any::<bool>(), any::<u8>()), 0..4),
+        ) {
+            let [line, shard, descriptor] = fuzz_seeds();
+            let grid = tiny_grid();
+            for (which, seed) in [line, shard, descriptor].into_iter().enumerate() {
+                let mut bytes = seed.as_bytes().to_vec();
+                for &(at, from_grammar, byte) in &flips {
+                    let i = (at * bytes.len() as f64) as usize;
+                    bytes[i] = if from_grammar {
+                        JSON_BYTES[byte as usize % JSON_BYTES.len()]
+                    } else {
+                        byte
+                    };
+                }
+                if keep < 1.0 {
+                    bytes.truncate((keep * bytes.len() as f64) as usize);
+                }
+                let text = String::from_utf8_lossy(&bytes);
+                match which {
+                    0 => {
+                        let _ = crate::cache::decode_outcome_line(
+                            &text,
+                            grid.fingerprint(),
+                            grid.scenario_count(),
+                            grid.replicates,
+                        );
+                    }
+                    1 => {
+                        let _ = read_shard(&text);
+                    }
+                    _ => {
+                        let _ = ScenarioGrid::from_json(&text);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

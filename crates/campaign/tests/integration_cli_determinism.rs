@@ -158,3 +158,29 @@ fn gossip_grid_is_deterministic_cold_warm_and_sharded() {
 
     fs::remove_dir_all(&base).ok();
 }
+
+/// A grid descriptor whose only fault is a distillation overhead below 1.
+const BAD_GRID_DESCRIPTOR: &str = r#"{"topologies":[{"Cycle":{"nodes":9}}],"modes":["Oblivious"],"distillations":[0.5],"knowledge":["Global"],"coherence_times_s":[null],"workloads":[{"node_count":9,"consumer_pairs":35,"requests":35,"discipline":"UniformRandom"}],"replicates":1,"master_seed":1,"max_sim_time_s":20000.0,"generation_rate":1.0,"swap_scan_rate":4.0}"#;
+
+#[test]
+fn bad_input_exits_1_with_a_message_never_101() {
+    let base = std::env::temp_dir().join(format!("qnet-bad-input-{}", std::process::id()));
+    fs::create_dir_all(&base).unwrap();
+    let descriptor = base.join("bad-grid.json");
+    fs::write(&descriptor, BAD_GRID_DESCRIPTOR).unwrap();
+    let descriptor = descriptor.to_str().unwrap();
+    for args in [
+        vec!["--dist", "NaN", "--dry-run"],
+        vec!["--horizon", "NaN", "--dry-run"],
+        vec!["--grid-file", descriptor],
+    ] {
+        let output = Command::new(campaign_bin())
+            .args(&args)
+            .output()
+            .expect("spawn campaign binary");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("campaign: "), "{args:?}: {stderr}");
+    }
+    fs::remove_dir_all(&base).ok();
+}

@@ -7,7 +7,7 @@
 //! — but it *does* count the messages and bits each knowledge model incurs,
 //! so the §6 gossip experiment can quantify the savings.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Accumulated classical-communication counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -63,7 +63,7 @@ impl ClassicalStats {
 }
 
 /// How nodes learn the network-wide buffer counts.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum KnowledgeModel {
     /// The paper's baseline assumption: immediate global knowledge of every
     /// `C_x(y)`. Each inventory change is broadcast to all other nodes.
@@ -79,58 +79,16 @@ pub enum KnowledgeModel {
         /// Seconds between a node's gossip exchanges. `0.0` (the legacy
         /// default, omitted from serialized form) couples the exchange to
         /// the swap-scan cadence: one exchange per `1 / swap_scan_rate`.
+        #[serde(default, skip_serializing_if = "is_not_positive")]
         refresh_period_s: f64,
     },
 }
 
-// Manual serde: the externally-tagged bytes must stay identical to the
-// pre-period encoding for legacy values, so `refresh_period_s` is emitted
-// only when nonzero and defaults to `0.0` when absent.
-impl Serialize for KnowledgeModel {
-    fn to_value(&self) -> Value {
-        match self {
-            KnowledgeModel::Global => Value::Str(String::from("Global")),
-            KnowledgeModel::Gossip {
-                peers_per_refresh,
-                refresh_period_s,
-            } => {
-                let mut fields = vec![(
-                    String::from("peers_per_refresh"),
-                    peers_per_refresh.to_value(),
-                )];
-                if *refresh_period_s > 0.0 {
-                    fields.push((
-                        String::from("refresh_period_s"),
-                        refresh_period_s.to_value(),
-                    ));
-                }
-                Value::Map(vec![(String::from("Gossip"), Value::Map(fields))])
-            }
-        }
-    }
-}
-
-impl Deserialize for KnowledgeModel {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) if s == "Global" => Ok(KnowledgeModel::Global),
-            Value::Map(entries) if entries.len() == 1 && entries[0].0 == "Gossip" => {
-                let inner = &entries[0].1;
-                let peers_per_refresh = Deserialize::from_value(
-                    inner.get_field("peers_per_refresh").unwrap_or(&Value::Null),
-                )?;
-                let refresh_period_s = match inner.get_field("refresh_period_s") {
-                    None | Some(Value::Null) => 0.0,
-                    Some(v) => Deserialize::from_value(v)?,
-                };
-                Ok(KnowledgeModel::Gossip {
-                    peers_per_refresh,
-                    refresh_period_s,
-                })
-            }
-            _ => Err(DeError::expected("KnowledgeModel variant", value)),
-        }
-    }
+/// Serialization predicate for `refresh_period_s`: the period is emitted
+/// only when positive, so pre-period values keep their legacy bytes.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn is_not_positive(period_s: &f64) -> bool {
+    !(*period_s > 0.0)
 }
 
 impl KnowledgeModel {

@@ -11,7 +11,7 @@ use crate::rates::RateMatrices;
 use qnet_quantum::decoherence::DecoherenceModel;
 use qnet_quantum::distill::{overhead_factor, DistillationProtocol};
 use qnet_topology::{FabricSpec, Graph, LinkFabric, NodePair, Topology};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// How the distillation overhead `D_{x,y}` is specified.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -54,10 +54,11 @@ impl DistillationSpec {
 /// engines (`qnet-campaign`) can fan thousands of configs across worker
 /// threads without allocation.
 ///
-/// Serialization (manual impls below): the `physics` field is emitted only
-/// when it is not [`PhysicsModel::Ideal`], so pre-physics configs keep their
-/// exact bytes and legacy JSON deserializes with ideal physics implied.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Serialization: the `physics` field is emitted only when it is not
+/// [`PhysicsModel::Ideal`] and the `fabric` field only when set, so
+/// pre-physics configs keep their exact bytes and legacy JSON deserializes
+/// with ideal physics and homogeneous links implied.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NetworkConfig {
     /// Generation-graph topology recipe.
     pub topology: Topology,
@@ -87,77 +88,15 @@ pub struct NetworkConfig {
     /// ageless tokens ([`PhysicsModel::Ideal`], the default — the paper's
     /// semantics, byte-identical results) or fidelity-tracked, decaying
     /// memories ([`PhysicsModel::Decoherent`]).
+    #[serde(default, skip_serializing_if = "PhysicsModel::is_ideal")]
     pub physics: PhysicsModel,
     /// Optional heterogeneous link fabric: a hardware preset realized into
     /// per-edge [`qnet_topology::LinkProfile`]s over the built graph. `None`
     /// (the default) keeps the paper's homogeneous links and the legacy
     /// serialized bytes; `Some` gives every edge its own generation rate
     /// and — under decoherent physics — its own birth fidelity and `T2`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub fabric: Option<FabricSpec>,
-}
-
-impl Serialize for NetworkConfig {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("topology".to_string(), self.topology.to_value()),
-            ("topology_seed".to_string(), self.topology_seed.to_value()),
-            (
-                "generation_rate".to_string(),
-                self.generation_rate.to_value(),
-            ),
-            (
-                "poisson_generation".to_string(),
-                self.poisson_generation.to_value(),
-            ),
-            ("swap_scan_rate".to_string(), self.swap_scan_rate.to_value()),
-            ("distillation".to_string(), self.distillation.to_value()),
-            ("loss_factor".to_string(), self.loss_factor.to_value()),
-            ("qec_overhead".to_string(), self.qec_overhead.to_value()),
-            ("decoherence".to_string(), self.decoherence.to_value()),
-            ("buffer_limit".to_string(), self.buffer_limit.to_value()),
-        ];
-        // Emitted only when physical: legacy (ideal) configs keep their
-        // exact pre-physics bytes.
-        if !self.physics.is_ideal() {
-            entries.push(("physics".to_string(), self.physics.to_value()));
-        }
-        // Same shim for the fabric: homogeneous configs keep their bytes.
-        if let Some(fabric) = &self.fabric {
-            entries.push(("fabric".to_string(), fabric.to_value()));
-        }
-        Value::Map(entries)
-    }
-}
-
-impl Deserialize for NetworkConfig {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        if value.as_map().is_none() {
-            return Err(DeError::expected("NetworkConfig object", value));
-        }
-        let field = |name: &str| value.get_field(name).unwrap_or(&Value::Null);
-        let physics = match field("physics") {
-            Value::Null => PhysicsModel::Ideal,
-            v => PhysicsModel::from_value(v)?,
-        };
-        let fabric = match field("fabric") {
-            Value::Null => None,
-            v => Some(FabricSpec::from_value(v)?),
-        };
-        Ok(NetworkConfig {
-            topology: Deserialize::from_value(field("topology"))?,
-            topology_seed: Deserialize::from_value(field("topology_seed"))?,
-            generation_rate: Deserialize::from_value(field("generation_rate"))?,
-            poisson_generation: Deserialize::from_value(field("poisson_generation"))?,
-            swap_scan_rate: Deserialize::from_value(field("swap_scan_rate"))?,
-            distillation: Deserialize::from_value(field("distillation"))?,
-            loss_factor: Deserialize::from_value(field("loss_factor"))?,
-            qec_overhead: Deserialize::from_value(field("qec_overhead"))?,
-            decoherence: Deserialize::from_value(field("decoherence"))?,
-            buffer_limit: Deserialize::from_value(field("buffer_limit"))?,
-            physics,
-            fabric,
-        })
-    }
 }
 
 impl NetworkConfig {

@@ -12,7 +12,7 @@ use crate::classical::KnowledgeModel;
 use crate::config::NetworkConfig;
 use crate::metrics::RunMetrics;
 use crate::network::QuantumNetworkWorld;
-pub use crate::policy::{PolicyId, ProtocolMode};
+pub use crate::policy::PolicyId;
 use crate::workload::{Workload, WorkloadSpec};
 use qnet_sim::{Engine, EventQueue, SimTime, StopCondition, World};
 use qnet_topology::Topology;
@@ -78,7 +78,7 @@ impl ExperimentConfig {
     }
 
     /// Builder: select the swap policy (anything convertible to a
-    /// [`PolicyId`], including the legacy [`ProtocolMode`] variants).
+    /// [`PolicyId`]).
     pub fn with_policy(mut self, policy: impl Into<PolicyId>) -> Self {
         self.mode = policy.into();
         self
@@ -343,18 +343,6 @@ mod tests {
         let rb = Experiment::new(base).run();
         let rh = Experiment::new(hybrid).run();
         assert!(rh.satisfied_requests >= rb.satisfied_requests);
-    }
-
-    #[test]
-    fn legacy_protocol_mode_still_selects_policies() {
-        // The ProtocolMode shim converts into the same runs as PolicyId.
-        let direct = small_config().with_policy(PolicyId::HYBRID);
-        let shimmed = small_config().with_policy(ProtocolMode::Hybrid);
-        assert_eq!(direct, shimmed);
-        assert_eq!(
-            Experiment::new(direct).run(),
-            Experiment::new(shimmed).run()
-        );
     }
 
     #[test]

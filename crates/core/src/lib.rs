@@ -73,7 +73,7 @@ pub mod workload;
 
 pub use balancer::{BalancerPolicy, SwapCandidate};
 pub use config::{DistillationSpec, NetworkConfig};
-pub use experiment::{Experiment, ExperimentConfig, ExperimentResult, ProtocolMode};
+pub use experiment::{Experiment, ExperimentConfig, ExperimentResult};
 pub use inventory::Inventory;
 pub use lp_model::{LpObjective, SteadyStateModel};
 pub use nested::nested_swap_cost;

@@ -19,9 +19,8 @@ use std::collections::BTreeMap;
 /// One satisfied consumption event.
 ///
 /// Serialization: the `fidelity` field is emitted only when present
-/// (decoherent physics), so pre-physics results keep their exact bytes —
-/// see the manual [`Serialize`] impl below.
-#[derive(Debug, Clone, Copy, PartialEq, Deserialize)]
+/// (decoherent physics), so pre-physics results keep their exact bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SatisfiedRequest {
     /// Position in the request sequence.
     pub sequence: u64,
@@ -40,27 +39,15 @@ pub struct SatisfiedRequest {
     pub repair_swaps: u64,
     /// End-to-end fidelity of the delivered entanglement (`None` under
     /// ideal physics, where pairs are noiseless tokens).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub fidelity: Option<f64>,
 }
 
-impl Serialize for SatisfiedRequest {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("sequence".to_string(), self.sequence.to_value()),
-            ("pair".to_string(), self.pair.to_value()),
-            ("arrival_time".to_string(), self.arrival_time.to_value()),
-            ("satisfied_at".to_string(), self.satisfied_at.to_value()),
-            (
-                "shortest_path_hops".to_string(),
-                self.shortest_path_hops.to_value(),
-            ),
-            ("repair_swaps".to_string(), self.repair_swaps.to_value()),
-        ];
-        if let Some(f) = self.fidelity {
-            entries.push(("fidelity".to_string(), f.to_value()));
-        }
-        Value::Map(entries)
-    }
+/// Serialization predicate: counters that only some runs populate are
+/// omitted while zero, so runs that never touch them keep their legacy
+/// bytes.
+pub fn is_zero(n: &u64) -> bool {
+    *n == 0
 }
 
 impl SatisfiedRequest {
@@ -197,16 +184,28 @@ impl Serialize for StreamedSummary {
     }
 }
 
+/// The live sketches behind a [`StreamedSummary`] are not serialized, so a
+/// summary document cannot be rehydrated: reading one always fails, which
+/// makes `RunMetrics` documents with a `streamed` object write-only.
+impl Deserialize for StreamedSummary {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        Err(DeError::expected(
+            "buffered RunMetrics (streamed summaries are write-only)",
+            value,
+        ))
+    }
+}
+
 /// Aggregate metrics of one simulation run.
 ///
 /// Serialization: the physics counters (`expired_pairs`,
-/// `fidelity_rejected_requests`) are emitted only when non-zero, so
-/// pre-physics results keep their exact bytes — see the manual impls below.
-/// A streamed-summary run additionally emits a `streamed` object (the
+/// `fidelity_rejected_requests`) and the staleness columns are emitted
+/// only when populated, so pre-physics results keep their exact bytes. A
+/// streamed-summary run additionally emits a `streamed` object (the
 /// summary's derived statistics); such documents are write-only — the live
 /// sketches are not serialized, so they do not deserialize back into a
 /// `RunMetrics`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunMetrics {
     /// Distillation overhead `D` used for the denominator.
     pub distillation_overhead: f64,
@@ -217,20 +216,10 @@ pub struct RunMetrics {
     pub pairs_generated: u64,
     /// Bell pairs lost to decoherence/loss before being stored.
     pub pairs_lost: u64,
-    /// Stored pairs discarded by the physics model's storage cutoff
-    /// (decoherent physics only; 0 under ideal physics).
-    pub expired_pairs: u64,
     /// The satisfied requests, in satisfaction order. Empty in streamed
     /// mode (see `streamed`), where per-request storage was dropped for
     /// flat memory.
     pub satisfied: Vec<SatisfiedRequest>,
-    /// `Some` when the run crossed the recorder's exact-sample threshold
-    /// and per-request buffering gave way to the fixed-memory
-    /// [`StreamedSummary`]. All derived statistics below route through it
-    /// when present; quantiles then come from a log-bucketed sketch instead
-    /// of exact nearest-rank (surfaced in campaign reports as the
-    /// `sketch_quantiles` column).
-    pub streamed: Option<StreamedSummary>,
     /// Requests injected into the system (arrivals delivered before the run
     /// ended; open-loop arrivals beyond the run horizon never count).
     pub arrived_requests: u64,
@@ -239,9 +228,6 @@ pub struct RunMetrics {
     /// Requests the policy dropped as unsatisfiable (e.g. disconnected
     /// endpoints); counted in neither `satisfied` nor `unsatisfied`.
     pub dropped_requests: u64,
-    /// Deliveries that consumed their pairs but fell below the physics
-    /// model's end-to-end fidelity floor (decoherent physics only).
-    pub fidelity_rejected_requests: u64,
     /// Classical message counters.
     pub classical: ClassicalStats,
     /// Simulated time at which the run ended.
@@ -249,126 +235,35 @@ pub struct RunMetrics {
     /// Pairs still stored in the inventory at the end of the run (the
     /// "leftover value" the paper's conservative-scoring note mentions).
     pub leftover_pairs: u64,
+    /// Stored pairs discarded by the physics model's storage cutoff
+    /// (decoherent physics only; 0 under ideal physics).
+    #[serde(default, skip_serializing_if = "is_zero")]
+    pub expired_pairs: u64,
+    /// Deliveries that consumed their pairs but fell below the physics
+    /// model's end-to-end fidelity floor (decoherent physics only).
+    #[serde(default, skip_serializing_if = "is_zero")]
+    pub fidelity_rejected_requests: u64,
     /// Swap actions that were believed feasible on stale counts but failed
     /// against drifted ground truth (gossip knowledge only; 0 under
     /// global knowledge).
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub missed_swaps: u64,
     /// Mean age in seconds of the believed knowledge rows consulted at
     /// decision time (`None` outside the stale control plane).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub stale_row_age_mean_s: Option<f64>,
     /// 95th-percentile believed-row age in seconds at decision time
     /// (`None` outside the stale control plane).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub stale_row_age_p95_s: Option<f64>,
-}
-
-impl Serialize for RunMetrics {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            (
-                "distillation_overhead".to_string(),
-                self.distillation_overhead.to_value(),
-            ),
-            (
-                "swaps_performed".to_string(),
-                self.swaps_performed.to_value(),
-            ),
-            (
-                "pairs_generated".to_string(),
-                self.pairs_generated.to_value(),
-            ),
-            ("pairs_lost".to_string(), self.pairs_lost.to_value()),
-            ("satisfied".to_string(), self.satisfied.to_value()),
-            (
-                "arrived_requests".to_string(),
-                self.arrived_requests.to_value(),
-            ),
-            (
-                "unsatisfied_requests".to_string(),
-                self.unsatisfied_requests.to_value(),
-            ),
-            (
-                "dropped_requests".to_string(),
-                self.dropped_requests.to_value(),
-            ),
-            ("classical".to_string(), self.classical.to_value()),
-            ("ended_at".to_string(), self.ended_at.to_value()),
-            ("leftover_pairs".to_string(), self.leftover_pairs.to_value()),
-        ];
-        // Physics counters join only when physics actually fired, keeping
-        // the pre-physics byte layout for ideal runs.
-        if self.expired_pairs > 0 {
-            entries.push(("expired_pairs".to_string(), self.expired_pairs.to_value()));
-        }
-        if self.fidelity_rejected_requests > 0 {
-            entries.push((
-                "fidelity_rejected_requests".to_string(),
-                self.fidelity_rejected_requests.to_value(),
-            ));
-        }
-        // Staleness columns join only for stale-control-plane runs, so
-        // global-knowledge cells keep legacy bytes.
-        if self.missed_swaps > 0 {
-            entries.push(("missed_swaps".to_string(), self.missed_swaps.to_value()));
-        }
-        if let Some(mean) = self.stale_row_age_mean_s {
-            entries.push(("stale_row_age_mean_s".to_string(), mean.to_value()));
-        }
-        if let Some(p95) = self.stale_row_age_p95_s {
-            entries.push(("stale_row_age_p95_s".to_string(), p95.to_value()));
-        }
-        if let Some(summary) = &self.streamed {
-            entries.push(("streamed".to_string(), summary.to_value()));
-        }
-        Value::Map(entries)
-    }
-}
-
-impl Deserialize for RunMetrics {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        if value.as_map().is_none() {
-            return Err(DeError::expected("RunMetrics object", value));
-        }
-        let field = |name: &str| value.get_field(name).unwrap_or(&Value::Null);
-        let counter = |name: &str| -> Result<u64, DeError> {
-            match field(name) {
-                Value::Null => Ok(0),
-                v => Deserialize::from_value(v),
-            }
-        };
-        let optional = |name: &str| -> Result<Option<f64>, DeError> {
-            match field(name) {
-                Value::Null => Ok(None),
-                v => Deserialize::from_value(v).map(Some),
-            }
-        };
-        if !matches!(field("streamed"), Value::Null) {
-            // The live sketches behind a streamed summary are write-only;
-            // a summary document cannot be rehydrated into a RunMetrics.
-            return Err(DeError::expected(
-                "buffered RunMetrics (streamed summaries are write-only)",
-                value,
-            ));
-        }
-        Ok(RunMetrics {
-            distillation_overhead: Deserialize::from_value(field("distillation_overhead"))?,
-            swaps_performed: Deserialize::from_value(field("swaps_performed"))?,
-            pairs_generated: Deserialize::from_value(field("pairs_generated"))?,
-            pairs_lost: Deserialize::from_value(field("pairs_lost"))?,
-            expired_pairs: counter("expired_pairs")?,
-            satisfied: Deserialize::from_value(field("satisfied"))?,
-            streamed: None,
-            arrived_requests: Deserialize::from_value(field("arrived_requests"))?,
-            unsatisfied_requests: Deserialize::from_value(field("unsatisfied_requests"))?,
-            dropped_requests: Deserialize::from_value(field("dropped_requests"))?,
-            fidelity_rejected_requests: counter("fidelity_rejected_requests")?,
-            classical: Deserialize::from_value(field("classical"))?,
-            ended_at: Deserialize::from_value(field("ended_at"))?,
-            leftover_pairs: Deserialize::from_value(field("leftover_pairs"))?,
-            missed_swaps: counter("missed_swaps")?,
-            stale_row_age_mean_s: optional("stale_row_age_mean_s")?,
-            stale_row_age_p95_s: optional("stale_row_age_p95_s")?,
-        })
-    }
+    /// `Some` when the run crossed the recorder's exact-sample threshold
+    /// and per-request buffering gave way to the fixed-memory
+    /// [`StreamedSummary`]. All derived statistics below route through it
+    /// when present; quantiles then come from a log-bucketed sketch instead
+    /// of exact nearest-rank (surfaced in campaign reports as the
+    /// `sketch_quantiles` column).
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub streamed: Option<StreamedSummary>,
 }
 
 impl RunMetrics {
@@ -702,6 +597,18 @@ mod tests {
         assert_eq!(*v.get_field("missed_swaps").unwrap(), 3u64);
         let back = RunMetrics::from_value(&v).unwrap();
         assert_eq!(back, stale);
+    }
+
+    #[test]
+    fn streamed_documents_are_write_only() {
+        let mut streamed = base_metrics();
+        let mut summary = StreamedSummary::new();
+        summary.record(&streamed.satisfied[0]);
+        streamed.streamed = Some(summary);
+        let v = streamed.to_value();
+        assert!(v.get_field("streamed").is_some());
+        let err = RunMetrics::from_value(&v).unwrap_err();
+        assert!(err.to_string().contains("write-only"), "{err}");
     }
 
     #[test]

@@ -36,8 +36,6 @@ use qnet_sim::{EventQueue, PoissonProcess, SimDuration, SimRng, SimTime, World};
 use qnet_topology::{EdgeIndex, Graph, NodeId, NodePair, PathOracle};
 use std::collections::{BTreeMap, VecDeque};
 
-pub use crate::policy::ProtocolMode;
-
 /// Events driving the network model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetEvent {

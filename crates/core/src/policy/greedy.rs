@@ -8,8 +8,8 @@
 //! **order** matters: splitting where stock is deepest reuses those pairs
 //! instead of rebuilding both halves from base pairs. This policy chooses
 //! each split point greedily by the current inventory — the first discipline
-//! added through the [`SwapPolicy`] plugin API rather than the old
-//! `ProtocolMode` enum, and the registry's proof of extensibility.
+//! added through the [`SwapPolicy`] plugin API rather than a hard-coded
+//! protocol enum, and the registry's proof of extensibility.
 
 use super::{PolicyCtx, PolicyId, PolicyParams, RequestAction, SwapPolicy};
 use crate::balancer::CountView;

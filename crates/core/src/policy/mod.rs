@@ -17,8 +17,9 @@
 //!   accounting ([`SwapPolicy::on_run_end`]).
 //! * [`PolicyId`] — a cheap, `Copy` policy selector (an interned name) used
 //!   by [`crate::experiment::ExperimentConfig`], the campaign grid axis and
-//!   the `campaign` CLI. It serializes to the legacy `ProtocolMode` variant
-//!   labels so pre-existing configs and reports keep their exact bytes.
+//!   the `campaign` CLI. It serializes to the variant labels of the
+//!   pre-registry protocol enum so pre-existing configs and reports keep
+//!   their exact bytes.
 //! * [`PolicyRegistry`] — a string-keyed registry mapping names (plus
 //!   aliases and the legacy labels) to constructors. The four paper
 //!   disciplines are pre-registered; external code adds its own with
@@ -203,8 +204,8 @@ pub enum PolicyFamily {
 /// associated constants for the built-ins, from [`PolicyId::parse`] for CLI
 /// strings, or from [`register`] for external policies.
 ///
-/// Serialization is compatible with the legacy `ProtocolMode` enum: the
-/// built-ins serialize to the old variant labels (`"Oblivious"`,
+/// Serialization is compatible with the pre-registry protocol enum: the
+/// built-ins serialize to its variant labels (`"Oblivious"`,
 /// `"PlannedConnectionOriented"`, …) and deserialize from either those
 /// labels or the registry names, so pre-refactor configs and campaign
 /// reports keep byte-identical JSON.
@@ -240,7 +241,7 @@ impl PolicyId {
     }
 
     /// The display label used by `Debug`/`Display` and serialization — the
-    /// legacy `ProtocolMode` variant label for the four paper disciplines,
+    /// legacy variant label for the four paper disciplines,
     /// a CamelCase form of the registry name otherwise.
     pub fn display_label(&self) -> &'static str {
         with_registry(|r| r.entry(self.name).map(|e| e.display)).unwrap_or(self.name)
@@ -361,8 +362,8 @@ pub type PolicyConstructor = fn(&PolicyParams) -> Box<dyn SwapPolicy>;
 pub struct PolicyEntry {
     /// Canonical registry name (CLI-facing, lowercase).
     pub name: &'static str,
-    /// Display / serialization label (legacy `ProtocolMode` variant label
-    /// for the paper disciplines).
+    /// Display / serialization label (legacy variant label for the paper
+    /// disciplines).
     pub display: &'static str,
     /// Alternate accepted spellings.
     pub aliases: &'static [&'static str],
@@ -525,56 +526,6 @@ pub fn registered_policies() -> Vec<PolicyEntry> {
     with_registry(|r| r.entries.to_vec())
 }
 
-// ---------------------------------------------------------------------------
-// ProtocolMode — legacy compatibility shim
-// ---------------------------------------------------------------------------
-
-/// The pre-plugin-API protocol selector, kept as a compatibility shim.
-///
-/// New code should use [`PolicyId`] (and the registry) directly; this enum
-/// remains so that code and serialized configs written against the original
-/// API keep working. It converts losslessly into [`PolicyId`] and shares
-/// its serialized representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ProtocolMode {
-    /// The paper's path-oblivious max-min balancing protocol (§4).
-    Oblivious,
-    /// Oblivious balancing plus the §6 consumer-side repair.
-    Hybrid,
-    /// Planned-path, connection-oriented baseline.
-    PlannedConnectionOriented,
-    /// Planned-path, connectionless baseline.
-    PlannedConnectionless,
-}
-
-impl ProtocolMode {
-    /// The canonical registry name of the corresponding policy.
-    pub fn policy_name(self) -> &'static str {
-        self.id().name()
-    }
-
-    /// The corresponding policy selector.
-    pub fn id(self) -> PolicyId {
-        match self {
-            ProtocolMode::Oblivious => PolicyId::OBLIVIOUS,
-            ProtocolMode::Hybrid => PolicyId::HYBRID,
-            ProtocolMode::PlannedConnectionOriented => PolicyId::PLANNED,
-            ProtocolMode::PlannedConnectionless => PolicyId::CONNECTIONLESS,
-        }
-    }
-
-    /// True for the two planned-path baselines.
-    pub fn is_planned(&self) -> bool {
-        self.id().family() == PolicyFamily::Planned
-    }
-}
-
-impl From<ProtocolMode> for PolicyId {
-    fn from(mode: ProtocolMode) -> PolicyId {
-        mode.id()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -599,36 +550,24 @@ mod tests {
 
     #[test]
     fn legacy_labels_serialize_identically_to_the_enum() {
-        assert_eq!(
-            PolicyId::OBLIVIOUS.to_value(),
-            ProtocolMode::Oblivious.to_value()
-        );
-        assert_eq!(
-            PolicyId::PLANNED.to_value(),
-            ProtocolMode::PlannedConnectionOriented.to_value()
-        );
-        assert_eq!(
-            PolicyId::CONNECTIONLESS.to_value(),
-            ProtocolMode::PlannedConnectionless.to_value()
-        );
-        assert_eq!(PolicyId::HYBRID.to_value(), ProtocolMode::Hybrid.to_value());
+        // The four paper disciplines keep the variant labels of the
+        // pre-registry enum, which cached JSON carries; both spellings
+        // parse back.
+        for (id, label) in [
+            (PolicyId::OBLIVIOUS, "Oblivious"),
+            (PolicyId::PLANNED, "PlannedConnectionOriented"),
+            (PolicyId::CONNECTIONLESS, "PlannedConnectionless"),
+            (PolicyId::HYBRID, "Hybrid"),
+        ] {
+            assert_eq!(id.to_value(), Value::Str(label.to_string()));
+            assert_eq!(PolicyId::parse(label).unwrap(), id);
+        }
         // And the Debug rendering (used by human summaries and CSVs) too.
         assert_eq!(format!("{:?}", PolicyId::OBLIVIOUS), "Oblivious");
         assert_eq!(
             format!("{:?}", PolicyId::PLANNED),
             "PlannedConnectionOriented"
         );
-    }
-
-    #[test]
-    fn protocol_mode_shim_converts() {
-        assert_eq!(PolicyId::from(ProtocolMode::Hybrid), PolicyId::HYBRID);
-        assert_eq!(
-            ProtocolMode::PlannedConnectionless.policy_name(),
-            "connectionless"
-        );
-        assert!(ProtocolMode::PlannedConnectionOriented.is_planned());
-        assert!(!ProtocolMode::Oblivious.is_planned());
     }
 
     #[test]

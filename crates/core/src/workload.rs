@@ -32,8 +32,8 @@ use serde::{DeError, Deserialize, Serialize, Value};
 
 /// How requests are drawn from the consumer-pair set.
 ///
-/// Serialized with the same variant labels the legacy `RequestDiscipline`
-/// enum used (`"UniformRandom"` / `"RoundRobin"`), so existing configs and
+/// Serialized with the variant labels of the pre-traffic-model selection
+/// enum (`"UniformRandom"` / `"RoundRobin"`), so existing configs and
 /// campaign reports keep their bytes; [`PairSelection::ZipfSkew`] extends
 /// the value space for skewed demand.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -50,26 +50,6 @@ pub enum PairSelection {
         /// The skew exponent `s ≥ 0`.
         s: f64,
     },
-}
-
-/// Legacy name for the pre-traffic-model selection enum, kept as a
-/// compatibility shim (same spirit as `ProtocolMode` for policies). New code
-/// should use [`PairSelection`]; the two share serialized labels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RequestDiscipline {
-    /// Each request is an independent uniform draw from the consumer pairs.
-    UniformRandom,
-    /// Requests cycle deterministically through the consumer pairs.
-    RoundRobin,
-}
-
-impl From<RequestDiscipline> for PairSelection {
-    fn from(d: RequestDiscipline) -> PairSelection {
-        match d {
-            RequestDiscipline::UniformRandom => PairSelection::UniformRandom,
-            RequestDiscipline::RoundRobin => PairSelection::RoundRobin,
-        }
-    }
 }
 
 /// When consumption requests arrive.
@@ -163,10 +143,9 @@ impl WorkloadSpec {
         self
     }
 
-    /// Builder: set the pair-selection discipline (accepts the legacy
-    /// [`RequestDiscipline`] variants as well as [`PairSelection`]).
-    pub fn with_discipline(mut self, selection: impl Into<PairSelection>) -> Self {
-        self.selection = selection.into();
+    /// Builder: set the pair-selection discipline.
+    pub fn with_discipline(mut self, selection: PairSelection) -> Self {
+        self.selection = selection;
         self
     }
 
@@ -813,18 +792,17 @@ mod tests {
 
     #[test]
     fn legacy_request_discipline_converts() {
-        assert_eq!(
-            PairSelection::from(RequestDiscipline::UniformRandom),
-            PairSelection::UniformRandom
-        );
-        assert_eq!(
-            PairSelection::from(RequestDiscipline::RoundRobin),
-            PairSelection::RoundRobin
-        );
-        // Shared serialized labels.
-        assert_eq!(
-            RequestDiscipline::UniformRandom.to_value(),
-            PairSelection::UniformRandom.to_value()
-        );
+        // The closed-loop selections keep the labels of the
+        // pre-traffic-model enum, which cached JSON carries.
+        for (selection, label) in [
+            (PairSelection::UniformRandom, "UniformRandom"),
+            (PairSelection::RoundRobin, "RoundRobin"),
+        ] {
+            assert_eq!(selection.to_value(), Value::Str(label.to_string()));
+            assert_eq!(
+                PairSelection::from_value(&selection.to_value()),
+                Ok(selection)
+            );
+        }
     }
 }

@@ -682,7 +682,7 @@ pub mod prelude {
     pub use qnet_core::balancer::{BalancerPolicy, SwapCandidate};
     pub use qnet_core::classical::KnowledgeModel;
     pub use qnet_core::config::{DistillationSpec, NetworkConfig};
-    pub use qnet_core::experiment::{Experiment, ExperimentConfig, ExperimentResult, ProtocolMode};
+    pub use qnet_core::experiment::{Experiment, ExperimentConfig, ExperimentResult};
     pub use qnet_core::inventory::Inventory;
     pub use qnet_core::lp_model::{LpObjective, SteadyStateModel};
     pub use qnet_core::nested::nested_swap_cost;
