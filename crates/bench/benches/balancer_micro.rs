@@ -4,9 +4,12 @@
 //! The torus rows stock only a few rich peers per node. `dense25` stocks
 //! every pair of a 25-node inventory with thousands of pairs, as in the
 //! steady state of an open-loop `cycle:25` oblivious run, so every peer is
-//! rich and each scan probes all 276 beneficiary pairs.
+//! rich and each scan has all 276 beneficiary pairs to choose from.
+//! `scan_and_swap/dense25` executes the swaps it finds, so the count
+//! writes, and the row minima they maintain, are timed along with the
+//! scans.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use qnet_core::balancer::BalancerPolicy;
 use qnet_core::inventory::Inventory;
 use qnet_topology::pairs::all_pairs;
@@ -65,6 +68,32 @@ fn scan_benchmark(c: &mut Criterion) {
             })
         });
     }
+    // Four rounds of one scan-and-swap per node, each round scanning the
+    // inventory the previous swaps left. Every iteration starts from the
+    // same stock (cloned outside the timed region).
+    let dense = stocked_dense(25);
+    group.bench_function(BenchmarkId::new("scan_and_swap", "dense25"), |b| {
+        let policy = BalancerPolicy;
+        let overhead = |_: NodePair| 1.0;
+        b.iter_batched(
+            || dense.clone(),
+            |mut inv| {
+                let mut swaps = 0;
+                for _ in 0..4 {
+                    for node in 0..inv.node_count() {
+                        if policy
+                            .scan_and_swap(&mut inv, NodeId::from(node), &overhead)
+                            .is_some()
+                        {
+                            swaps += 1;
+                        }
+                    }
+                }
+                swaps
+            },
+            BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 

@@ -13,7 +13,7 @@ use crate::balancer::CountView;
 use crate::inventory::Inventory;
 use qnet_sim::SimTime;
 use qnet_topology::pairs::all_pairs;
-use qnet_topology::{NodeId, NodePair, PairMatrix};
+use qnet_topology::{CountMatrix, CountRow, NodeId, NodePair};
 
 /// One node's stale copy of every node's buffer-count row.
 ///
@@ -23,7 +23,9 @@ use qnet_topology::{NodeId, NodePair, PairMatrix};
 /// two rows that contain it (either endpoint's row carries the pair).
 #[derive(Debug, Clone)]
 pub struct KnowledgeView {
-    counts: PairMatrix<u64>,
+    /// Believed counts, with each row's minimum kept current on every
+    /// install (the balancer's row prune reads it).
+    counts: CountMatrix,
     row_refreshed_at: Vec<SimTime>,
     n: usize,
 }
@@ -33,7 +35,7 @@ impl KnowledgeView {
     /// (timestamp zero), so ages grow from the start of the run.
     pub fn new(n: usize) -> Self {
         KnowledgeView {
-            counts: PairMatrix::new(n),
+            counts: CountMatrix::new(n),
             row_refreshed_at: vec![SimTime::ZERO; n],
             n,
         }
@@ -55,13 +57,14 @@ impl KnowledgeView {
             return;
         }
         self.row_refreshed_at[owner.index()] = read_at;
-        for (other, &count) in row.iter().enumerate() {
-            if other == owner.index() {
-                continue;
-            }
+        // Pairs with a smaller endpoint sit in other nodes' rows, one entry
+        // each; the rest are `owner`'s own row, written whole.
+        let o = owner.index();
+        for (other, &count) in row[..o].iter().enumerate() {
             self.counts
-                .set(NodePair::new(owner, NodeId::from(other)), count);
+                .set(NodePair::new(NodeId::from(other), owner), count);
         }
+        self.counts.set_row(owner, &row[o + 1..]);
     }
 
     /// When `owner`'s row was last read at its owner ([`SimTime::ZERO`]
@@ -97,7 +100,7 @@ impl KnowledgeView {
     pub fn nonzero_pairs(&self) -> Vec<(NodePair, u64)> {
         all_pairs(self.n)
             .filter_map(|p| {
-                let c = *self.counts.get(p);
+                let c = self.counts.get(p);
                 (c > 0).then_some((p, c))
             })
             .collect()
@@ -117,10 +120,10 @@ impl KnowledgeView {
 
 impl CountView for KnowledgeView {
     fn count(&self, pair: NodePair) -> u64 {
-        *self.counts.get(pair)
+        self.counts.get(pair)
     }
 
-    fn row(&self, lo: NodeId) -> Option<&[u64]> {
+    fn row(&self, lo: NodeId) -> Option<CountRow<'_>> {
         Some(self.counts.row(lo))
     }
 }

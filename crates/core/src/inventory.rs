@@ -3,7 +3,7 @@
 //! Because Bell pairs are interchangeable (paper §1), the global state the
 //! protocol cares about is just the count `C_x(y) = C_y(x)` of pairs whose
 //! qubits sit at `x` and `y`. [`Inventory`] stores those counts in a
-//! [`PairMatrix`] and implements the three primitive mutations — generate,
+//! [`CountMatrix`] and implements the three primitive mutations — generate,
 //! swap, consume — with the bookkeeping (per-node qubit totals, cumulative
 //! counters) the balancer, the buffer-limit model and the metrics need.
 //!
@@ -33,7 +33,7 @@ use crate::physics::{ConsumeOrder, PhysicsModel};
 use qnet_quantum::decoherence::DecoherenceModel;
 use qnet_quantum::swap::swap_werner_fidelity;
 use qnet_sim::{SimDuration, SimTime};
-use qnet_topology::{NodeId, NodePair, PairMatrix};
+use qnet_topology::{CountMatrix, CountRow, NodeId, NodePair};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::VecDeque;
 
@@ -345,7 +345,11 @@ impl LotStore {
 /// fields; the runtime-only lot store is rebuilt per run, never persisted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Inventory {
-    counts: PairMatrix<u64>,
+    /// `C_x(y)` for every pair, with each row's minimum kept current on
+    /// every count mutation, so a swap scan can skip a whole beneficiary
+    /// row without reading it (the row prune in the balancer's
+    /// `# The scan` docs). Serialized as the bare count matrix.
+    counts: CountMatrix,
     /// Number of stored qubit halves per node (each stored pair contributes
     /// one half to each endpoint).
     node_load: Vec<u64>,
@@ -384,7 +388,7 @@ impl Deserialize for Inventory {
             return Err(DeError::expected("Inventory object", value));
         }
         let field = |name: &str| value.get_field(name).unwrap_or(&Value::Null);
-        let counts: PairMatrix<u64> = Deserialize::from_value(field("counts"))?;
+        let counts: CountMatrix = Deserialize::from_value(field("counts"))?;
         let node_load: Vec<u64> = Deserialize::from_value(field("node_load"))?;
         // The peer index is runtime state derived from the counts.
         let mut peer_index: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); node_load.len()];
@@ -413,7 +417,7 @@ impl Inventory {
     /// An empty inventory over `n` nodes with unlimited buffers.
     pub fn new(n: usize) -> Self {
         Inventory {
-            counts: PairMatrix::new(n),
+            counts: CountMatrix::new(n),
             node_load: vec![0; n],
             buffer_limit: None,
             total_added: 0,
@@ -513,9 +517,7 @@ impl Inventory {
         // same order the old dense matrix scan produced.
         let expired = store.pools.purge(cutoff, store.clock);
         for &pair in &expired {
-            let count = self.counts.get_mut(pair);
-            *count -= 1;
-            let count = *count;
+            let count = self.counts.sub(pair, 1);
             Self::set_peer_count(&mut self.peer_index, pair, count);
             self.node_load[pair.lo().index()] -= 1;
             self.node_load[pair.hi().index()] -= 1;
@@ -544,7 +546,7 @@ impl Inventory {
 
     /// Count of stored pairs between the endpoints of `pair`.
     pub fn count(&self, pair: NodePair) -> u64 {
-        *self.counts.get(pair)
+        self.counts.get(pair)
     }
 
     /// Number of stored qubit halves at `node`.
@@ -651,9 +653,7 @@ impl Inventory {
                 }
             }
         }
-        let count = self.counts.get_mut(pair);
-        *count += 1;
-        let count = *count;
+        let count = self.counts.add(pair, 1);
         Self::set_peer_count(&mut self.peer_index, pair, count);
         self.node_load[pair.lo().index()] += 1;
         self.node_load[pair.hi().index()] += 1;
@@ -696,10 +696,8 @@ impl Inventory {
                 available,
             });
         }
-        let remaining = self.counts.get_mut(pair);
-        *remaining -= count;
-        let remaining = *remaining;
         if count > 0 {
+            let remaining = self.counts.sub(pair, count);
             Self::set_peer_count(&mut self.peer_index, pair, remaining);
         }
         self.node_load[pair.lo().index()] -= count;
@@ -776,7 +774,7 @@ impl CountView for Inventory {
     }
 
     #[inline]
-    fn row(&self, lo: NodeId) -> Option<&[u64]> {
+    fn row(&self, lo: NodeId) -> Option<CountRow<'_>> {
         Some(self.counts.row(lo))
     }
 }

@@ -14,7 +14,8 @@
 //! * connectivity utilities (union-find, connected components), and
 //! * [`NodePair`] / [`PairMatrix`], the canonical unordered-pair key and a
 //!   symmetric matrix keyed by it — the natural container for `g(x, y)`,
-//!   `c(x, y)` and the inventory counts `C_x(y)`, and
+//!   `c(x, y)` and the inventory counts `C_x(y)` (held in a [`CountMatrix`],
+//!   which also keeps each row's minimum), and
 //! * [`fabric`] — heterogeneous per-edge hardware profiles: named presets
 //!   ([`HardwarePreset`]) whose generation rate and initial fidelity
 //!   attenuate with link length, realized as a per-edge [`LinkProfile`]
@@ -37,5 +38,5 @@ pub use connectivity::UnionFind;
 pub use edge_index::EdgeIndex;
 pub use fabric::{FabricSpec, HardwarePreset, LinkFabric, LinkProfile};
 pub use graph::{Graph, NodeId};
-pub use pairs::{NodePair, PairMatrix};
+pub use pairs::{CountMatrix, CountRow, NodePair, PairMatrix};
 pub use shortest_path::{bfs_distances, bfs_path, dijkstra, PathOracle, PathResult};

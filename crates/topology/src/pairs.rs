@@ -129,10 +129,14 @@ impl<T> PairMatrix<T> {
     /// # Panics
     /// Panics if `lo` is not a node of this matrix.
     pub fn row(&self, lo: NodeId) -> &[T] {
+        &self.data[self.row_range(lo)]
+    }
+
+    fn row_range(&self, lo: NodeId) -> std::ops::Range<usize> {
         let i = lo.index();
         assert!(i < self.n, "row {lo} out of range for {} nodes", self.n);
         let start = i * self.n - i * (i + 1) / 2;
-        &self.data[start..start + (self.n - i - 1)]
+        start..start + (self.n - i - 1)
     }
 
     /// Immutable access to the entry for `pair`.
@@ -183,9 +187,182 @@ impl PairMatrix<u64> {
     }
 }
 
+/// One row of a [`CountMatrix`]: the counts of every pair `(lo, hi)` with
+/// `hi > lo`, together with their smallest value.
+#[derive(Debug, Clone, Copy)]
+pub struct CountRow<'a> {
+    /// The count of `(lo, hi)` is `counts[hi − lo − 1]`, as in
+    /// [`PairMatrix::row`].
+    pub counts: &'a [u64],
+    /// The smallest entry of `counts` (`u64::MAX` for the empty last row).
+    pub min: u64,
+}
+
+/// A [`PairMatrix<u64>`] of counts that keeps, for every row, its minimum
+/// entry and the leftmost column holding it (the *argmin*).
+///
+/// Every write goes through [`set`](CountMatrix::set), `add`, `sub` or
+/// [`set_row`](CountMatrix::set_row), which keep the row minima exact. A
+/// write that lowers an entry, or raises any entry but the argmin, costs
+/// one compare. Raising the argmin entry searches the row forward from it
+/// for another entry at the old minimum (every entry left of it is
+/// larger), and rescans the whole row only if there is none, that is,
+/// only when the minimum itself rises; on a 999-wide scale-free row of
+/// mostly zeros the next zero is a step or two away. Serializes exactly
+/// as the inner [`PairMatrix`]; the minima are rebuilt on load.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CountMatrix {
+    counts: PairMatrix<u64>,
+    /// `(min, argmin)` per row, `argmin` as a node index.
+    row_min: Vec<(u64, u32)>,
+}
+
+impl CountMatrix {
+    /// An all-zero matrix for `n` nodes.
+    pub fn new(n: usize) -> Self {
+        // Each row's leftmost zero is its first column; the last row is
+        // empty. Stating this directly leaves the zeroed pages untouched.
+        let row_min = (0..n)
+            .map(|lo| {
+                if lo + 1 < n {
+                    (0, lo as u32 + 1)
+                } else {
+                    (u64::MAX, lo as u32)
+                }
+            })
+            .collect();
+        CountMatrix {
+            counts: PairMatrix::new(n),
+            row_min,
+        }
+    }
+
+    /// The count for `pair`.
+    pub fn get(&self, pair: NodePair) -> u64 {
+        *self.counts.get(pair)
+    }
+
+    /// Row `lo` with its minimum (see [`PairMatrix::row`] for the layout).
+    ///
+    /// # Panics
+    /// Panics if `lo` is not a node of this matrix.
+    pub fn row(&self, lo: NodeId) -> CountRow<'_> {
+        CountRow {
+            counts: self.counts.row(lo),
+            min: self.row_min[lo.index()].0,
+        }
+    }
+
+    /// Set the count for `pair`, keeping its row's minimum exact.
+    pub fn set(&mut self, pair: NodePair, value: u64) {
+        self.update(pair, |_| value);
+    }
+
+    /// Overwrite row `lo` (the count of `(lo, hi)` becomes
+    /// `values[hi − lo − 1]`) and recompute its minimum once, rather than
+    /// once per entry.
+    ///
+    /// # Panics
+    /// Panics if `values` is not exactly as long as the row.
+    pub fn set_row(&mut self, lo: NodeId, values: &[u64]) {
+        let range = self.counts.row_range(lo);
+        let row = &mut self.counts.data[range];
+        row.copy_from_slice(values);
+        self.row_min[lo.index()] = leftmost_min(row, lo.index());
+    }
+
+    /// Add `delta` to the count for `pair` and return the new count.
+    pub fn add(&mut self, pair: NodePair, delta: u64) -> u64 {
+        self.update(pair, |c| c + delta)
+    }
+
+    /// Subtract `delta` from the count for `pair` and return the new count.
+    ///
+    /// # Panics
+    /// Panics (in debug builds) if the count would go below zero.
+    pub fn sub(&mut self, pair: NodePair, delta: u64) -> u64 {
+        self.update(pair, |c| c - delta)
+    }
+
+    /// Replace the count for `pair` with `f(count)`, keeping its row's
+    /// minimum exact, and return the new count.
+    #[inline]
+    fn update(&mut self, pair: NodePair, f: impl FnOnce(u64) -> u64) -> u64 {
+        let entry = self.counts.get_mut(pair);
+        let old = *entry;
+        let value = f(old);
+        *entry = value;
+        let lo = pair.lo().index();
+        let col = pair.hi().0;
+        let (min, argmin) = self.row_min[lo];
+        if value < min || (value == min && col < argmin) {
+            self.row_min[lo] = (value, col);
+        } else if col == argmin && value > old {
+            // The minimum entry grew. Every entry left of it exceeds the
+            // old minimum, so the next entry at the old minimum to its
+            // right is the new leftmost minimum; failing that, the minimum
+            // itself rose and the whole row is rescanned.
+            let row = self.counts.row(pair.lo());
+            let start = col as usize - lo;
+            self.row_min[lo] = match row[start..].iter().position(|&c| c == old) {
+                Some(k) => (old, col + 1 + k as u32),
+                None => leftmost_min(row, lo),
+            };
+        }
+        value
+    }
+
+    /// Iterate over `(pair, &count)` in lexicographic pair order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodePair, &u64)> + '_ {
+        self.counts.iter()
+    }
+
+    /// Sum of all counts.
+    pub fn total(&self) -> u64 {
+        self.counts.total()
+    }
+}
+
+/// `(min, argmin)` of row `lo`: the smallest entry and the leftmost column
+/// holding it, as a node index; `(u64::MAX, lo)` for an empty row.
+fn leftmost_min(row: &[u64], lo: usize) -> (u64, u32) {
+    let mut best = (u64::MAX, lo as u32);
+    for (k, &c) in row.iter().enumerate() {
+        if c < best.0 {
+            best = (c, (lo + 1 + k) as u32);
+        }
+    }
+    best
+}
+
+impl Serialize for CountMatrix {
+    fn to_value(&self) -> serde::Value {
+        self.counts.to_value()
+    }
+}
+
+impl Deserialize for CountMatrix {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let counts: PairMatrix<u64> = Deserialize::from_value(value)?;
+        let n = counts.node_count();
+        let pairs = n.checked_mul(n.saturating_sub(1)).map(|x| x / 2);
+        if pairs != Some(counts.pair_count()) {
+            return Err(serde::DeError::custom(format!(
+                "a count matrix over {n} nodes needs one entry per pair, found {}",
+                counts.pair_count()
+            )));
+        }
+        let row_min = (0..n)
+            .map(|lo| leftmost_min(counts.row(NodeId::from(lo)), lo))
+            .collect();
+        Ok(CountMatrix { counts, row_min })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pair_is_canonical() {
@@ -292,6 +469,111 @@ mod tests {
     fn pair_matrix_out_of_range_panics() {
         let m: PairMatrix<u64> = PairMatrix::new(3);
         let _ = m.get(NodePair::new(NodeId(0), NodeId(7)));
+    }
+
+    fn pair(a: u32, b: u32) -> NodePair {
+        NodePair::new(NodeId(a), NodeId(b))
+    }
+
+    fn min_of(m: &CountMatrix, lo: u32) -> (u64, NodeId) {
+        let (min, argmin) = m.row_min[lo as usize];
+        assert_eq!(m.row(NodeId(lo)).min, min);
+        (min, NodeId(argmin))
+    }
+
+    #[test]
+    fn count_matrix_keeps_the_leftmost_row_minimum() {
+        let mut m = CountMatrix::new(5);
+        assert_eq!(min_of(&m, 0), (0, NodeId(1)));
+        assert_eq!(min_of(&m, 4), (u64::MAX, NodeId(4)));
+        for hi in 1..5 {
+            m.set(pair(0, hi), 3);
+        }
+        assert_eq!(min_of(&m, 0), (3, NodeId(1)));
+        // A decrease right of the argmin takes over; a tie right of it
+        // does not.
+        m.sub(pair(0, 3), 1);
+        assert_eq!(min_of(&m, 0), (2, NodeId(3)));
+        m.sub(pair(0, 4), 1);
+        assert_eq!(min_of(&m, 0), (2, NodeId(3)));
+        // Raising the argmin moves it to the next tie on its right…
+        m.add(pair(0, 3), 5);
+        assert_eq!(min_of(&m, 0), (2, NodeId(4)));
+        // …and with no tie left, the whole row is rescanned.
+        m.add(pair(0, 4), 5);
+        assert_eq!(min_of(&m, 0), (3, NodeId(1)));
+        // Writes to other rows leave this one alone.
+        m.set(pair(1, 2), 9);
+        assert_eq!(min_of(&m, 0), (3, NodeId(1)));
+        assert_eq!(min_of(&m, 1), (0, NodeId(3)));
+        assert_eq!(m.total(), 3 + 3 + 7 + 7 + 9);
+    }
+
+    proptest! {
+        /// Every row's maintained `(min, argmin)` is its leftmost minimum
+        /// after every write: random adds, subtractions, sets and
+        /// whole-row writes over 2–40 nodes. Small counts make ties
+        /// common, so the leftmost tie-break and the forward search are
+        /// both exercised.
+        #[test]
+        fn count_matrix_row_minima_match_a_fresh_leftmost_pass(
+            n in 2usize..41,
+            ops in collection::vec((0u8..4, 0usize..40, 0usize..40, 0u64..4), 1..150),
+            values in collection::vec(0u64..4, 80),
+        ) {
+            let mut m = CountMatrix::new(n);
+            for &(kind, a, b, v) in &ops {
+                let (a, b) = (a % n, b % n);
+                if kind == 3 {
+                    let len = n - a - 1;
+                    m.set_row(NodeId::from(a), &values[b..b + len]);
+                } else if a != b {
+                    let pair = NodePair::new(NodeId::from(a), NodeId::from(b));
+                    match kind {
+                        0 => {
+                            m.add(pair, v);
+                        }
+                        1 => {
+                            m.sub(pair, v.min(m.get(pair)));
+                        }
+                        _ => m.set(pair, v),
+                    }
+                }
+                for lo in 0..n {
+                    let row = m.counts.row(NodeId::from(lo));
+                    let (min, argmin) = m.row_min[lo];
+                    if row.is_empty() {
+                        prop_assert_eq!((min, argmin as usize), (u64::MAX, lo));
+                        continue;
+                    }
+                    // The argmin holds the minimum, and everything left of
+                    // it is strictly larger.
+                    let k = argmin as usize - lo - 1;
+                    prop_assert_eq!(row[k], min);
+                    prop_assert!(row[..k].iter().all(|&c| c > min));
+                    prop_assert!(row[k..].iter().all(|&c| c >= min));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn count_matrix_serializes_as_its_pair_matrix() {
+        let mut m = CountMatrix::new(4);
+        m.set(pair(0, 2), 4);
+        m.set(pair(1, 3), 2);
+        m.set(pair(0, 1), 1);
+        let value = m.to_value();
+        assert_eq!(value, m.counts.to_value());
+        let back = CountMatrix::from_value(&value).unwrap();
+        assert_eq!(back, m);
+        assert_eq!(min_of(&back, 0), (0, NodeId(3)));
+        // A matrix whose entries do not cover every pair is an error.
+        let short = PairMatrix {
+            n: 4,
+            data: vec![0u64; 5],
+        };
+        assert!(CountMatrix::from_value(&short.to_value()).is_err());
     }
 
     #[test]
