@@ -52,6 +52,85 @@ fn engine_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// Deterministic SplitMix-style stream for the queue benches (no RNG
+/// dependency in the timed loops).
+fn mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E3779B97F4A7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
+/// One timing-wheel tick (2²⁰ ns), the queue's bucket width.
+const TICK_NS: u64 = 1 << 20;
+
+/// Pop `pops` events from a queue primed with `in_flight` events spread
+/// over `[0, 2·mean_gap)`; each pop schedules one successor, a third of
+/// them (when `current_tick_share` is set) a few nanoseconds after the
+/// popped event, i.e. into the tick being served, and the rest a uniform
+/// `[0, 2·mean_gap)` later.
+fn churn(in_flight: u64, mean_gap: u64, pops: u64, current_tick_share: bool) -> u64 {
+    let mut q = EventQueue::new();
+    let mut state = 1;
+    for i in 0..in_flight {
+        q.schedule_at(SimTime::from_nanos(mix(&mut state) % (2 * mean_gap)), i);
+    }
+    let mut checksum = 0u64;
+    for i in 0..pops {
+        let ev = q.pop().expect("steady load");
+        checksum = checksum.wrapping_add(ev.event);
+        let r = mix(&mut state);
+        let gap = if current_tick_share && r.is_multiple_of(3) {
+            (r >> 32) % 64
+        } else {
+            (r >> 8) % (2 * mean_gap)
+        };
+        q.schedule_at(ev.time.saturating_add(SimDuration::from_nanos(gap)), i);
+    }
+    checksum
+}
+
+fn event_queue(c: &mut Criterion) {
+    // The timing wheel on its own, in three regimes:
+    // * `dense_ticks` — ≈ 16 pops per tick, as on the cycle:25 open-loop
+    //   hot path: 43 in flight, a third of the pushes landing in the tick
+    //   being served and the rest 0–8 ticks ahead (mean stay 2.7 ticks);
+    //   10⁵ pops.
+    // * `sparse` — one event per ≈ 50 ticks (64 in flight, gaps up to 6400
+    //   ticks, so some pass the 4096-tick span into the overflow heap);
+    //   10⁴ pops.
+    // * `same_instant_burst` — 10⁵ events at one instant, then 10⁵ pops
+    //   with a push at that same instant after every other pop: guards
+    //   against any push into the tick being served costing O(n).
+    let mut group = c.benchmark_group("event_queue");
+    group.sample_size(20);
+    group.bench_function("dense_ticks", |b| {
+        b.iter(|| churn(43, 4 * TICK_NS, 100_000, true))
+    });
+    group.bench_function("sparse", |b| {
+        b.iter(|| churn(64, 64 * 50 * TICK_NS, 10_000, false))
+    });
+    group.bench_function("same_instant_burst", |b| {
+        b.iter(|| {
+            let at = SimTime::from_nanos(3 * TICK_NS);
+            let mut q = EventQueue::new();
+            for i in 0..100_000u64 {
+                q.schedule_at(at, i);
+            }
+            let mut checksum = 0u64;
+            for i in 0..100_000u64 {
+                checksum = checksum.wrapping_add(q.pop().expect("burst").event);
+                if i % 2 == 0 {
+                    q.schedule_at(at, i);
+                }
+            }
+            checksum
+        })
+    });
+    group.finish();
+}
+
 fn network_simulation_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("network_simulation");
     group.sample_size(10);
@@ -335,6 +414,7 @@ fn knowledge_view(c: &mut Criterion) {
 criterion_group!(
     benches,
     engine_throughput,
+    event_queue,
     network_simulation_throughput,
     scale_free_pair_generation,
     open_loop_million,

