@@ -54,14 +54,21 @@ impl DecisionTelemetry {
         self.row_ages_s.is_empty() && self.missed.is_empty()
     }
 
-    /// Drain the recorded row ages.
-    pub fn take_ages(&mut self) -> Vec<f64> {
-        std::mem::take(&mut self.row_ages_s)
+    /// The recorded row ages, in recording order.
+    pub fn ages(&self) -> &[f64] {
+        &self.row_ages_s
     }
 
-    /// Drain the recorded misses.
-    pub fn take_misses(&mut self) -> Vec<NodePair> {
-        std::mem::take(&mut self.missed)
+    /// The recorded misses, in recording order.
+    pub fn misses(&self) -> &[NodePair] {
+        &self.missed
+    }
+
+    /// Forget everything recorded, keeping the buffers' capacity so the
+    /// next stale decision records without allocating.
+    pub fn clear(&mut self) {
+        self.row_ages_s.clear();
+        self.missed.clear();
     }
 }
 
@@ -77,8 +84,10 @@ mod tests {
         t.record_age(0.5);
         t.record_miss(NodePair::new(NodeId(0), NodeId(1)));
         assert!(!t.is_empty());
-        assert_eq!(t.take_ages(), vec![0.5]);
-        assert_eq!(t.take_misses().len(), 1);
+        assert_eq!(t.ages(), [0.5]);
+        assert_eq!(t.misses().len(), 1);
+        t.clear();
         assert!(t.is_empty());
+        assert!(t.row_ages_s.capacity() > 0 && t.missed.capacity() > 0);
     }
 }

@@ -28,6 +28,8 @@ pub struct KnowledgeView {
     counts: CountMatrix,
     row_refreshed_at: Vec<SimTime>,
     n: usize,
+    /// Number of accepted row installs so far.
+    revision: u64,
 }
 
 impl KnowledgeView {
@@ -38,6 +40,7 @@ impl KnowledgeView {
             counts: CountMatrix::new(n),
             row_refreshed_at: vec![SimTime::ZERO; n],
             n,
+            revision: 0,
         }
     }
 
@@ -57,6 +60,7 @@ impl KnowledgeView {
             return;
         }
         self.row_refreshed_at[owner.index()] = read_at;
+        self.revision += 1;
         // Pairs with a smaller endpoint sit in other nodes' rows, one entry
         // each; the rest are `owner`'s own row, written whole.
         let o = owner.index();
@@ -65,6 +69,13 @@ impl KnowledgeView {
                 .set(NodePair::new(NodeId::from(other), owner), count);
         }
         self.counts.set_row(owner, &row[o + 1..]);
+    }
+
+    /// How many row installs this view has accepted: a decision that read
+    /// the view at one revision read the same believed counts and row
+    /// times as long as the revision is unchanged.
+    pub fn revision(&self) -> u64 {
+        self.revision
     }
 
     /// When `owner`'s row was last read at its owner ([`SimTime::ZERO`]
@@ -148,6 +159,15 @@ impl OwnerAwareView<'_> {
             self.view.pair_age_s(pair, now)
         }
     }
+
+    /// Age in seconds of the stalest believed count among the consecutive
+    /// pairs of `path` as of `now` — the row age a decision along that
+    /// path rests on.
+    pub fn path_age_s(&self, path: &[NodeId], now: SimTime) -> f64 {
+        path.windows(2)
+            .map(|w| self.pair_age_s(NodePair::new(w[0], w[1]), now))
+            .fold(0.0, f64::max)
+    }
 }
 
 impl CountView for OwnerAwareView<'_> {
@@ -201,6 +221,7 @@ mod tests {
             view.row_refreshed_at(NodeId(1)),
             SimTime::from_secs_f64(2.0)
         );
+        assert_eq!(view.revision(), 1, "a dropped install is no revision");
     }
 
     #[test]

@@ -9,69 +9,116 @@
 //! observed; the hybrid ablation experiment measures how much it helps.
 //!
 //! The *entanglement graph* joins `x` and `y` whenever at least `min_count`
-//! pairs `[x, y]` are stored. It is never materialised: [`entanglement_bfs`]
-//! walks each visited node's neighbour row in place — the inventory's
-//! [`Inventory::peer_counts`] under global knowledge, a scan of the believed
-//! counts under a stale control plane. Rows are walked in ascending peer id,
-//! which is exactly the order of the sorted adjacency lists of a
-//! materialised [`qnet_topology::Graph`], so the search discovers nodes in
-//! the same order as [`qnet_topology::bfs_path`] and breaks every tie the
-//! same way (smaller-id predecessor first): the same paths, the same swaps.
+//! pairs `[x, y]` are stored. It is never materialised: an
+//! [`EntanglementSearch`] walks each visited node's neighbour row in place
+//! — the inventory's [`Inventory::peer_counts`] under global knowledge, a
+//! scan of the believed counts under a stale control plane. Rows are
+//! walked in ascending peer id, which is exactly the order of the sorted
+//! adjacency lists of a materialised [`qnet_topology::Graph`], so the
+//! search discovers nodes in the same order as [`qnet_topology::bfs_path`]
+//! and breaks every tie the same way (smaller-id predecessor first): the
+//! same paths, the same swaps.
 
 use crate::inventory::Inventory;
 use qnet_topology::{NodeId, NodePair};
-use std::collections::VecDeque;
 
 /// Shortest (fewest-hops) path from `pair.lo()` to `pair.hi()` over the
 /// entanglement graph on `n` nodes whose edges are the pools holding at
 /// least `min_count` pairs (an empty pool is never an edge). Returns `None`
-/// if the endpoints are not connected.
-///
-/// `neighbors(u)` yields `(v, count)` for the pools at `u`, in ascending
-/// `v`; pools below the threshold are skipped, and the search stops as
-/// soon as it reaches the target. See the module docs for why ascending
-/// order reproduces [`qnet_topology::bfs_path`]'s tie-breaks.
+/// if the endpoints are not connected. A one-shot [`EntanglementSearch`].
 pub fn entanglement_bfs<F, I>(
     n: usize,
     pair: NodePair,
     min_count: u64,
-    mut neighbors: F,
+    neighbors: F,
 ) -> Option<Vec<NodeId>>
 where
     F: FnMut(NodeId) -> I,
     I: IntoIterator<Item = (NodeId, u64)>,
 {
-    const UNSEEN: u32 = u32::MAX;
-    let (source, target) = (pair.lo(), pair.hi());
-    if target.index() >= n {
-        return None;
-    }
-    let min_count = min_count.max(1);
-    // `prev[v]` is v's BFS predecessor; the source points at itself, so
-    // `UNSEEN` doubles as the visited mark.
-    let mut prev = vec![UNSEEN; n];
-    prev[source.index()] = source.0;
-    let mut queue = VecDeque::from([source]);
-    while let Some(u) = queue.pop_front() {
-        for (v, count) in neighbors(u) {
-            if count < min_count || prev[v.index()] != UNSEEN {
-                continue;
-            }
-            prev[v.index()] = u.0;
-            if v == target {
-                let mut path = vec![target];
-                let mut cur = target;
-                while cur != source {
-                    cur = NodeId(prev[cur.index()]);
-                    path.push(cur);
-                }
-                path.reverse();
-                return Some(path);
-            }
-            queue.push_back(v);
+    let mut search = EntanglementSearch::default();
+    search
+        .run(n, pair, min_count, neighbors)
+        .then(|| search.path().to_vec())
+}
+
+/// A reusable breadth-first search over the entanglement graph: the
+/// predecessor table, the queue and the found path stay allocated between
+/// searches, and after a search it reports which rows it read.
+///
+/// `neighbors(u)` yields `(v, count)` for the pools at `u`, in ascending
+/// `v`; pools below the threshold are skipped, and the search stops as
+/// soon as it reaches the target. See the module docs for why ascending
+/// order reproduces [`qnet_topology::bfs_path`]'s tie-breaks.
+#[derive(Debug, Default)]
+pub struct EntanglementSearch {
+    /// `prev[v]` is v's BFS predecessor (`UNSEEN` when undiscovered); the
+    /// source points at itself.
+    prev: Vec<u32>,
+    /// Nodes in discovery order: the queue, whose first `expanded` entries
+    /// have been popped and had their rows read.
+    order: Vec<NodeId>,
+    expanded: usize,
+    path: Vec<NodeId>,
+}
+
+const UNSEEN: u32 = u32::MAX;
+
+impl EntanglementSearch {
+    /// Search for a path from `pair.lo()` to `pair.hi()` on `n` nodes over
+    /// pools of at least `min_count` pairs. Returns whether one was found
+    /// ([`Self::path`]).
+    pub fn run<F, I>(&mut self, n: usize, pair: NodePair, min_count: u64, mut neighbors: F) -> bool
+    where
+        F: FnMut(NodeId) -> I,
+        I: IntoIterator<Item = (NodeId, u64)>,
+    {
+        for v in self.order.drain(..) {
+            self.prev[v.index()] = UNSEEN;
         }
+        self.prev.resize(n, UNSEEN);
+        self.expanded = 0;
+        self.path.clear();
+        let (source, target) = (pair.lo(), pair.hi());
+        if target.index() >= n {
+            return false;
+        }
+        let min_count = min_count.max(1);
+        self.prev[source.index()] = source.0;
+        self.order.push(source);
+        while let Some(&u) = self.order.get(self.expanded) {
+            self.expanded += 1;
+            for (v, count) in neighbors(u) {
+                if count < min_count || self.prev[v.index()] != UNSEEN {
+                    continue;
+                }
+                self.prev[v.index()] = u.0;
+                self.order.push(v);
+                if v == target {
+                    let mut cur = target;
+                    self.path.push(cur);
+                    while cur != source {
+                        cur = NodeId(self.prev[cur.index()]);
+                        self.path.push(cur);
+                    }
+                    self.path.reverse();
+                    return true;
+                }
+            }
+        }
+        false
     }
-    None
+
+    /// The path the last search found (empty when it found none).
+    pub fn path(&self) -> &[NodeId] {
+        &self.path
+    }
+
+    /// The nodes whose rows the last search read, in the order it read
+    /// them: every node it reached when it found no path.
+    pub fn expanded(&self) -> &[NodeId] {
+        &self.order[..self.expanded]
+    }
 }
 
 /// Find the shortest path between the endpoints of `pair` in the entanglement
@@ -91,15 +138,27 @@ pub fn entanglement_path(
 /// satisfiable, find a shortest path over the existing Bell pairs and execute
 /// nested swapping along it so that `need` pairs of `pair` become available.
 /// Returns the number of repair swaps performed, or `None` if no
-/// entanglement path could provide them.
-pub fn hybrid_repair(inventory: &mut Inventory, pair: NodePair, need: u64, k: u64) -> Option<u64> {
+/// entanglement path could provide them: then `search` holds the rows it
+/// read and the path whose build failed (empty when it found none).
+pub fn hybrid_repair(
+    inventory: &mut Inventory,
+    search: &mut EntanglementSearch,
+    pair: NodePair,
+    need: u64,
+    k: u64,
+) -> Option<u64> {
     if inventory.count(pair) >= need {
         return Some(0);
     }
     // Require only k pairs per hop when searching; the nested executor will
     // verify exact availability (and is atomic on failure).
-    let path = entanglement_path(inventory, pair, k)?;
-    crate::planned::execute_nested_along_path(inventory, &path, need, k)
+    let rows = &*inventory;
+    if !search.run(inventory.node_count(), pair, k, |u| {
+        rows.peer_counts(u).iter().copied()
+    }) {
+        return None;
+    }
+    crate::planned::execute_nested_along_path(inventory, search.path(), need, k)
 }
 
 /// The materialised entanglement graph the searches used to build on every
@@ -175,7 +234,8 @@ mod tests {
         let mut inv = Inventory::new(5);
         inv.add_pair(pair(0, 3)).unwrap();
         inv.add_pair(pair(3, 4)).unwrap();
-        let swaps = hybrid_repair(&mut inv, pair(0, 4), 1, 1).unwrap();
+        let mut search = EntanglementSearch::default();
+        let swaps = hybrid_repair(&mut inv, &mut search, pair(0, 4), 1, 1).unwrap();
         assert_eq!(swaps, 1);
         assert_eq!(inv.count(pair(0, 4)), 1);
     }
@@ -184,7 +244,11 @@ mod tests {
     fn hybrid_repair_noop_when_already_available() {
         let mut inv = Inventory::new(3);
         inv.add_pair(pair(0, 2)).unwrap();
-        assert_eq!(hybrid_repair(&mut inv, pair(0, 2), 1, 1), Some(0));
+        let mut search = EntanglementSearch::default();
+        assert_eq!(
+            hybrid_repair(&mut inv, &mut search, pair(0, 2), 1, 1),
+            Some(0)
+        );
         assert_eq!(inv.count(pair(0, 2)), 1, "nothing consumed by the repair");
     }
 
@@ -192,14 +256,26 @@ mod tests {
     fn hybrid_repair_fails_gracefully() {
         let mut inv = Inventory::new(4);
         inv.add_pair(pair(0, 1)).unwrap();
-        // No path from 0 to 3 over existing pairs.
-        assert!(hybrid_repair(&mut inv, pair(0, 3), 1, 1).is_none());
+        let mut search = EntanglementSearch::default();
+        // No path from 0 to 3 over existing pairs: the search read the rows
+        // of the nodes it reached.
+        assert!(hybrid_repair(&mut inv, &mut search, pair(0, 3), 1, 1).is_none());
+        assert_eq!(search.expanded(), [NodeId(0), NodeId(1)]);
+        assert!(search.path().is_empty());
         // A path exists but lacks the quantity needed for k = 2: the nested
         // executor refuses and leaves the inventory untouched.
         inv.add_pair(pair(1, 3)).unwrap();
         let before = inv.clone();
-        assert!(hybrid_repair(&mut inv, pair(0, 3), 1, 2).is_none());
+        assert!(hybrid_repair(&mut inv, &mut search, pair(0, 3), 1, 2).is_none());
         assert_eq!(inv, before);
+        // At k = 2 the search finds 0–1–3 over two pairs a hop, but two
+        // products need 2 · 2 pairs a hop: the build fails on its path.
+        inv.add_pair(pair(0, 1)).unwrap();
+        inv.add_pair(pair(1, 3)).unwrap();
+        let before = inv.clone();
+        assert!(hybrid_repair(&mut inv, &mut search, pair(0, 3), 2, 2).is_none());
+        assert_eq!(inv, before);
+        assert_eq!(search.path(), [NodeId(0), NodeId(1), NodeId(3)]);
     }
 
     proptest! {
@@ -227,9 +303,34 @@ mod tests {
             let (a, b) = (ends.0 % n, ends.1 % n);
             prop_assume!(a != b);
             let p = NodePair::new(NodeId::from(a), NodeId::from(b));
-            let expected = bfs_path(&entanglement_graph(&inv, min_count), p.lo(), p.hi())
-                .map(|r| r.nodes);
-            prop_assert_eq!(entanglement_path(&inv, p, min_count), expected);
+            let graph = entanglement_graph(&inv, min_count);
+            let expected = bfs_path(&graph, p.lo(), p.hi()).map(|r| r.nodes);
+            prop_assert_eq!(entanglement_path(&inv, p, min_count), expected.clone());
+
+            // A search reused after another query answers the same, and one
+            // that finds no path has read exactly the rows of the source's
+            // component.
+            let rows = |u: NodeId| inv.peer_counts(u).iter().copied();
+            let mut search = EntanglementSearch::default();
+            search.run(n, NodePair::new(NodeId(0), NodeId::from(n - 1)), 1, rows);
+            let found = search.run(n, p, min_count, rows);
+            prop_assert_eq!(found.then(|| search.path().to_vec()), expected);
+            if !found {
+                let mut component = vec![p.lo()];
+                let mut i = 0;
+                while let Some(&u) = component.get(i) {
+                    i += 1;
+                    for &v in graph.neighbors(u) {
+                        if !component.contains(&v) {
+                            component.push(v);
+                        }
+                    }
+                }
+                let mut read = search.expanded().to_vec();
+                read.sort();
+                component.sort();
+                prop_assert_eq!(read, component);
+            }
         }
     }
 }

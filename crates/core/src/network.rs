@@ -30,7 +30,7 @@ use crate::control::{DecisionTelemetry, PropagationDelays, StaleControl, PROCESS
 use crate::inventory::Inventory;
 use crate::metrics::{RunMetrics, SatisfiedRequest};
 use crate::observer::{MetricsRecorder, RunObserver, SwapKind};
-use crate::policy::{PolicyCtx, QueueDiscipline, RequestAction, SwapPolicy};
+use crate::policy::{PolicyCtx, QueueDiscipline, RequestAction, SwapPolicy, WaitCertificate};
 use crate::workload::{ArrivalStream, ConsumptionRequest, Workload};
 use qnet_sim::{EventQueue, PoissonProcess, SimDuration, SimRng, SimTime, World};
 use qnet_topology::{EdgeIndex, Graph, NodeId, NodePair, PathOracle};
@@ -91,15 +91,17 @@ pub const ARRIVAL_BATCH: usize = 1024;
 /// The pending-request store.
 ///
 /// `Fifo` is the exact arrival-order deque: head-of-line draining and
-/// active-hook any-order draining walk it directly, because the precise
-/// offer sequence (including offers to blocked requests) is observable
-/// through [`SwapPolicy::on_blocked_request`]. `Indexed` keys requests by
-/// consumer pair and is used only when the policy declares its blocked
-/// hook inert ([`SwapPolicy::blocked_hook_is_inert`]) under any-order
-/// draining: re-offering a blocked request is then provably a no-op, so a
-/// drain can jump straight to satisfiable pairs instead of re-walking
-/// every blocked request — O(pairs) per satisfaction instead of
-/// O(pending) per event.
+/// active-hook any-order draining walk it directly. Under head-of-line
+/// draining a blocked head is not re-offered while it holds a wait
+/// certificate ([`WaitCertificate`]); such a skipped offer would have
+/// returned `Wait` without side effects, so the FIFO offer sequence is
+/// observable only through the stale telemetry a skipped offer replays.
+/// `Indexed` keys requests by consumer pair and is used only when the
+/// policy declares its blocked hook inert
+/// ([`SwapPolicy::blocked_hook_is_inert`]) under any-order draining:
+/// re-offering a blocked request is then provably a no-op, so a drain can
+/// jump straight to satisfiable pairs instead of re-walking every blocked
+/// request — O(pairs) per satisfaction instead of O(pending) per event.
 #[derive(Debug)]
 enum PendingQueue {
     Fifo(VecDeque<ConsumptionRequest>),
@@ -170,6 +172,13 @@ pub struct QuantumNetworkWorld {
     /// Scratch the policy fills with row ages / misses during stale
     /// decisions; drained into observer hooks after every policy call.
     telemetry: DecisionTelemetry,
+    /// What the last blocked head-of-line offer read; while held, the
+    /// head is not re-offered (see [`WaitCertificate`]).
+    certificate: WaitCertificate,
+    /// Re-offer the blocked head after every gain, holding no certificate:
+    /// the reference drain the certificates are checked against.
+    #[cfg(test)]
+    always_reoffer: bool,
     pending: PendingQueue,
     /// Requests scheduled as arrival events but not yet delivered.
     arrivals_outstanding: usize,
@@ -308,6 +317,9 @@ impl QuantumNetworkWorld {
             inventory,
             control,
             telemetry: DecisionTelemetry::default(),
+            certificate: WaitCertificate::new(n, config.buffer_limit.is_some()),
+            #[cfg(test)]
+            always_reoffer: false,
             pending,
             arrivals_outstanding: 0,
             arrival_stream: None,
@@ -367,11 +379,8 @@ impl QuantumNetworkWorld {
 
     /// Fire an observer hook on the metrics recorder and every extra
     /// observer, in order.
-    fn notify(&mut self, mut hook: impl FnMut(&mut dyn RunObserver)) {
-        hook(&mut self.recorder);
-        for o in &mut self.extra_observers {
-            hook(o.as_mut());
-        }
+    fn notify(&mut self, hook: impl FnMut(&mut dyn RunObserver)) {
+        notify_all(&mut self.recorder, &mut self.extra_observers, hook);
     }
 
     fn seed_events(&mut self, queue: &mut EventQueue<NetEvent>) {
@@ -466,13 +475,14 @@ impl QuantumNetworkWorld {
         self.notify(|o| o.on_count_updates(now, msgs));
     }
 
-    /// Hand the policy a decision context over the split-borrowed substrate.
-    fn blocked_request_action(
+    /// Run `decide` on the policy with a decision context over the
+    /// split-borrowed substrate, then forward the telemetry it recorded.
+    fn with_policy<R>(
         &mut self,
         now: SimTime,
-        request: &ConsumptionRequest,
-    ) -> RequestAction {
-        let action = {
+        decide: impl FnOnce(&mut dyn SwapPolicy, &mut PolicyCtx<'_>) -> R,
+    ) -> R {
+        let result = {
             let QuantumNetworkWorld {
                 policy,
                 config,
@@ -480,6 +490,7 @@ impl QuantumNetworkWorld {
                 inventory,
                 control,
                 telemetry,
+                certificate,
                 oracle,
                 ..
             } = self;
@@ -490,27 +501,85 @@ impl QuantumNetworkWorld {
                 control: control.as_ref(),
                 now,
                 telemetry,
+                certificate,
                 oracle,
             };
-            policy.on_blocked_request(&mut ctx, request)
+            decide(policy.as_mut(), &mut ctx)
         };
         self.drain_decision_telemetry(now);
-        action
+        result
+    }
+
+    fn blocked_request_action(
+        &mut self,
+        now: SimTime,
+        request: &ConsumptionRequest,
+    ) -> RequestAction {
+        self.with_policy(now, |policy, ctx| policy.on_blocked_request(ctx, request))
     }
 
     /// Forward whatever row ages / misses the last policy call recorded to
-    /// the observers. A no-op (single branch) under global knowledge, where
-    /// the telemetry pad is never written.
+    /// the observers, keeping the pad's buffers. A no-op (single branch)
+    /// under global knowledge, where the telemetry pad is never written.
     fn drain_decision_telemetry(&mut self, now: SimTime) {
         if self.telemetry.is_empty() {
             return;
         }
-        for age_s in self.telemetry.take_ages() {
-            self.notify(|o| o.on_stale_decision(now, age_s));
+        let QuantumNetworkWorld {
+            telemetry,
+            recorder,
+            extra_observers,
+            ..
+        } = self;
+        for &age_s in telemetry.ages() {
+            notify_all(recorder, extra_observers, |o| {
+                o.on_stale_decision(now, age_s)
+            });
         }
-        for pair in self.telemetry.take_misses() {
-            self.notify(|o| o.on_swap_missed(now, pair));
+        for &pair in telemetry.misses() {
+            notify_all(recorder, extra_observers, |o| o.on_swap_missed(now, pair));
         }
+        telemetry.clear();
+    }
+
+    /// Offer the blocked head `head` to the policy, unless the wait
+    /// certificate its last offer left still holds: then the offer would
+    /// return `Wait` again, and only the stale telemetry it would record
+    /// is replayed.
+    fn offer_head(&mut self, now: SimTime, head: &ConsumptionRequest) -> RequestAction {
+        let control = &self.control;
+        let covered = self.certificate.covers(head.sequence, |consumer| {
+            control
+                .as_ref()
+                .map_or(0, |ctl| ctl.view(consumer).revision())
+        });
+        if covered {
+            self.replay_wait(now, head);
+            return RequestAction::Wait;
+        }
+        self.certificate.begin();
+        let action = self.blocked_request_action(now, head);
+        self.certificate
+            .finish(head.sequence, action == RequestAction::Wait);
+        #[cfg(test)]
+        if self.always_reoffer {
+            self.certificate.release();
+        }
+        action
+    }
+
+    /// Emit what a skipped offer would have recorded: for a stale believed
+    /// path whose build failed, the path's row age as of `now` and a miss.
+    fn replay_wait(&mut self, now: SimTime, head: &ConsumptionRequest) {
+        let (Some((consumer, path)), Some(ctl)) = (self.certificate.replay(), &self.control) else {
+            return;
+        };
+        let age_s = ctl
+            .view(consumer)
+            .for_owner(consumer, &self.inventory)
+            .path_age_s(path, now);
+        self.notify(|o| o.on_stale_decision(now, age_s));
+        self.notify(|o| o.on_swap_missed(now, head.pair));
     }
 
     /// Account `swaps` repair swaps performed inside a policy hook.
@@ -577,10 +646,11 @@ impl QuantumNetworkWorld {
                 if self.inert_blocked_hook {
                     return;
                 }
-                match self.blocked_request_action(now, &head) {
+                match self.offer_head(now, &head) {
                     RequestAction::Wait => return,
                     RequestAction::Drop => {
                         self.pending.fifo().pop_front();
+                        self.certificate.release();
                         self.notify(|o| o.on_request_dropped(now, &head));
                         continue;
                     }
@@ -594,8 +664,11 @@ impl QuantumNetworkWorld {
             if self.inventory.count(head.pair) < k {
                 return;
             }
+            // Consumption under head-of-line takes the head, so the head
+            // changes and any certificate goes with it.
             self.consume(now, head, k, repair_swaps);
             self.pending.fifo().pop_front();
+            self.certificate.release();
         }
     }
 
@@ -646,7 +719,10 @@ impl QuantumNetworkWorld {
     /// exactly the min-sequence order the full walk would pick while it is
     /// the only satisfiable pair. O(drained) instead of O(pending pairs)
     /// per generation/swap event. Falls back to the policy's full
-    /// discipline on the FIFO store (whose offer sequence is observable).
+    /// discipline on the FIFO store; under head-of-line draining that
+    /// re-offers the blocked head only when the gain (or an earlier change)
+    /// voided its wait certificate, and otherwise replays the stale
+    /// telemetry the skipped offer would have recorded.
     fn try_satisfy_after_gain(&mut self, now: SimTime, pair: NodePair) {
         if !matches!(self.pending, PendingQueue::Indexed { .. }) {
             return self.try_satisfy(now);
@@ -718,6 +794,15 @@ impl QuantumNetworkWorld {
         self.sweep_pending = false;
         let cutoff = self.cutoff.expect("sweeps only scheduled with a cutoff");
         let expired = self.inventory.purge_expired(cutoff);
+        if self.certificate.is_held() {
+            // The purge reports each pool's expired lots consecutively and
+            // has already applied them: one run is one net decrease.
+            for run in expired.chunk_by(|a, b| a == b) {
+                let new = self.inventory.count(run[0]);
+                self.certificate
+                    .observe(run[0], new + run.len() as u64, new);
+            }
+        }
         for pair in expired {
             self.notify(|o| o.on_pair_expired(now, pair));
             // An expiry changes buffer counts like any other mutation, so
@@ -739,6 +824,10 @@ impl QuantumNetworkWorld {
         // stored as usable pairs.
         let survives = self.rng.chance(1.0 / self.config.loss_factor);
         if survives && self.inventory.add_pair(edge).is_ok() {
+            if self.certificate.is_held() {
+                let new = self.inventory.count(edge);
+                self.certificate.observe(edge, new - 1, new);
+            }
             self.notify(|o| o.on_pair_generated(now, edge));
             self.record_inventory_change(now);
             self.arm_cutoff_sweep(now, queue);
@@ -756,29 +845,7 @@ impl QuantumNetworkWorld {
     }
 
     fn handle_swap_scan(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<NetEvent>) {
-        let candidate = {
-            let QuantumNetworkWorld {
-                policy,
-                config,
-                graph,
-                inventory,
-                control,
-                telemetry,
-                oracle,
-                ..
-            } = self;
-            let mut ctx = PolicyCtx {
-                config,
-                graph,
-                inventory,
-                control: control.as_ref(),
-                now,
-                telemetry,
-                oracle,
-            };
-            policy.on_swap_scan(&mut ctx, node)
-        };
-        self.drain_decision_telemetry(now);
+        let candidate = self.with_policy(now, |policy, ctx| policy.on_swap_scan(ctx, node));
 
         if let Some(c) = candidate {
             match &self.control {
@@ -821,6 +888,16 @@ impl QuantumNetworkWorld {
             .apply_swap(c.repeater, c.left, c.right, k, k)
             .is_ok()
         {
+            if self.certificate.is_held() {
+                for far in [c.left, c.right] {
+                    let input = NodePair::new(c.repeater, far);
+                    let new = self.inventory.count(input);
+                    self.certificate.observe(input, new + k, new);
+                }
+                let product = NodePair::new(c.left, c.right);
+                let new = self.inventory.count(product);
+                self.certificate.observe(product, new - 1, new);
+            }
             self.notify(|o| o.on_swap(now, SwapKind::Balancing));
             self.notify(|o| o.on_swap_correction(now));
             self.record_inventory_change(now);
@@ -945,29 +1022,7 @@ impl QuantumNetworkWorld {
     /// Give the policy its end-of-run accounting hook.
     pub fn finish(&mut self) {
         let now = self.recorder.last_event_time();
-        {
-            let QuantumNetworkWorld {
-                policy,
-                config,
-                graph,
-                inventory,
-                control,
-                telemetry,
-                oracle,
-                ..
-            } = self;
-            let mut ctx = PolicyCtx {
-                config,
-                graph,
-                inventory,
-                control: control.as_ref(),
-                now,
-                telemetry,
-                oracle,
-            };
-            policy.on_run_end(&mut ctx);
-        }
-        self.drain_decision_telemetry(now);
+        self.with_policy(now, |policy, ctx| policy.on_run_end(ctx));
     }
 
     /// Extract the run metrics (consumes nothing; can be called at any time).
@@ -977,6 +1032,19 @@ impl QuantumNetworkWorld {
             self.pending.len() as u64,
             self.inventory.total_pairs(),
         )
+    }
+}
+
+/// Fire an observer hook on the metrics recorder and then on every extra
+/// observer, in attachment order.
+fn notify_all(
+    recorder: &mut MetricsRecorder,
+    extra: &mut [Box<dyn RunObserver>],
+    mut hook: impl FnMut(&mut dyn RunObserver),
+) {
+    hook(recorder);
+    for o in extra {
+        hook(o.as_mut());
     }
 }
 
@@ -1022,6 +1090,7 @@ mod tests {
     use crate::policy::PolicyId;
     use crate::test_support::{pair, run_world, run_world_with_knowledge};
     use crate::workload::Workload;
+    use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest};
     use qnet_topology::Topology;
 
     #[test]
@@ -1289,6 +1358,241 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every observer hook, in firing order, with its arguments.
+    #[derive(Debug, Default)]
+    struct HookLog(Vec<String>);
+
+    impl RunObserver for HookLog {
+        fn on_event(&mut self, now: SimTime) {
+            self.0.push(format!("event {now:?}"));
+        }
+        fn on_pair_generated(&mut self, now: SimTime, edge: NodePair) {
+            self.0.push(format!("generated {now:?} {edge:?}"));
+        }
+        fn on_pair_lost(&mut self, now: SimTime, edge: NodePair) {
+            self.0.push(format!("lost {now:?} {edge:?}"));
+        }
+        fn on_pair_expired(&mut self, now: SimTime, pair: NodePair) {
+            self.0.push(format!("expired {now:?} {pair:?}"));
+        }
+        fn on_swap(&mut self, now: SimTime, kind: SwapKind) {
+            self.0.push(format!("swap {now:?} {kind:?}"));
+        }
+        fn on_swap_correction(&mut self, now: SimTime) {
+            self.0.push(format!("correction {now:?}"));
+        }
+        fn on_teleportation(&mut self, now: SimTime) {
+            self.0.push(format!("teleportation {now:?}"));
+        }
+        fn on_count_updates(&mut self, now: SimTime, messages: u64) {
+            self.0.push(format!("count-updates {now:?} {messages}"));
+        }
+        fn on_request_arrival(&mut self, now: SimTime, request: &ConsumptionRequest) {
+            self.0.push(format!("arrival {now:?} {request:?}"));
+        }
+        fn on_request_satisfied(&mut self, now: SimTime, request: &SatisfiedRequest) {
+            self.0.push(format!("satisfied {now:?} {request:?}"));
+        }
+        fn on_request_dropped(&mut self, now: SimTime, request: &ConsumptionRequest) {
+            self.0.push(format!("dropped {now:?} {request:?}"));
+        }
+        fn on_fidelity_rejected(&mut self, now: SimTime, request: &ConsumptionRequest, f: f64) {
+            self.0.push(format!("rejected {now:?} {request:?} {f:?}"));
+        }
+        fn on_swap_missed(&mut self, now: SimTime, pair: NodePair) {
+            self.0.push(format!("missed {now:?} {pair:?}"));
+        }
+        fn on_stale_decision(&mut self, now: SimTime, row_age_s: f64) {
+            self.0.push(format!("stale {now:?} {row_age_s:?}"));
+        }
+    }
+
+    /// Run a world to `horizon_s` (or completion) after `setup` has
+    /// adjusted it, mirroring `Experiment::run`'s lifecycle.
+    fn drive(
+        config: NetworkConfig,
+        workload: Workload,
+        policy: Box<dyn SwapPolicy>,
+        knowledge: KnowledgeModel,
+        seed: u64,
+        horizon_s: u64,
+        setup: impl FnOnce(&mut QuantumNetworkWorld),
+    ) -> QuantumNetworkWorld {
+        use qnet_sim::{Engine, StopCondition};
+        let mut queue = EventQueue::new();
+        let mut world =
+            QuantumNetworkWorld::new(config, workload, policy, knowledge, seed, &mut queue);
+        setup(&mut world);
+        let mut engine = Engine::new(world);
+        while let Some(ev) = queue.pop() {
+            engine.queue_mut().schedule_at(ev.time, ev.event);
+        }
+        engine.run(StopCondition::at_horizon(SimTime::from_secs(horizon_s)));
+        let mut world = engine.into_world();
+        world.finish();
+        world
+    }
+
+    proptest! {
+        /// Skipping certified re-offers is exact: on small cycles and tori,
+        /// for planned and hybrid, global and gossip knowledge, ideal and
+        /// decoherent-with-cutoff physics, with and without a buffer limit,
+        /// at D = 1 and 2, the run's metrics and its whole observer hook
+        /// stream equal those of the always-re-offer reference drain.
+        #[test]
+        fn reoffer_certificates_match_always_reoffer(
+            shape in 0usize..7,
+            hybrid in any::<bool>(),
+            gossip in 0usize..3,
+            decoherent in any::<bool>(),
+            limited in any::<bool>(),
+            distill in 1usize..3,
+            open in any::<bool>(),
+            seed in 0u64..1_000_000,
+        ) {
+            use crate::physics::PhysicsModel;
+            use crate::workload::WorkloadSpec;
+            use std::sync::{Arc, Mutex};
+
+            // Cycles of 3..=8 nodes, or the 3 × 3 torus.
+            let topology = match shape {
+                6 => Topology::TorusGrid { side: 3 },
+                n => Topology::Cycle { nodes: n + 3 },
+            };
+            let n = topology.node_count();
+            let mut config = NetworkConfig::new(topology)
+                .with_distillation(DistillationSpec::Uniform(distill as f64));
+            if decoherent {
+                config = config.with_physics(PhysicsModel::decoherent(4.0).with_cutoff_age(3.0));
+            }
+            if limited {
+                config = config.with_buffer_limit(3);
+            }
+            let knowledge = match gossip {
+                0 => KnowledgeModel::Global,
+                peers => KnowledgeModel::Gossip {
+                    peers_per_refresh: peers,
+                    refresh_period_s: 1.0,
+                },
+            };
+            let spec = if open {
+                WorkloadSpec::open_loop(n, 4, 0.2, 100.0)
+            } else {
+                WorkloadSpec::closed_loop(n, 4, 12)
+            };
+            let mode = if hybrid { PolicyId::HYBRID } else { PolicyId::PLANNED };
+            let run = |always_reoffer: bool| {
+                let log = Arc::new(Mutex::new(HookLog::default()));
+                let world = drive(
+                    config,
+                    spec.generate(seed),
+                    mode.instantiate(),
+                    knowledge,
+                    seed,
+                    300,
+                    |world| {
+                        world.always_reoffer = always_reoffer;
+                        world.add_observer(Box::new(Arc::clone(&log)));
+                    },
+                );
+                let hooks = std::mem::take(&mut log.lock().unwrap().0);
+                (world.metrics(), hooks)
+            };
+            let (metrics, hooks) = run(false);
+            let (reference_metrics, reference_hooks) = run(true);
+            prop_assert_eq!(&metrics, &reference_metrics);
+            prop_assert!(hooks == reference_hooks, "hook streams differ");
+        }
+    }
+
+    /// Counts the blocked-request offers each request sequence receives.
+    #[derive(Debug)]
+    struct OfferCounter {
+        inner: Box<dyn SwapPolicy>,
+        offers: std::sync::Arc<std::sync::Mutex<BTreeMap<u64, u64>>>,
+    }
+
+    impl SwapPolicy for OfferCounter {
+        fn id(&self) -> PolicyId {
+            self.inner.id()
+        }
+        fn schedules_swap_scans(&self) -> bool {
+            self.inner.schedules_swap_scans()
+        }
+        fn queue_discipline(&self) -> QueueDiscipline {
+            self.inner.queue_discipline()
+        }
+        fn on_swap_scan(
+            &mut self,
+            ctx: &mut PolicyCtx<'_>,
+            node: NodeId,
+        ) -> Option<crate::SwapCandidate> {
+            self.inner.on_swap_scan(ctx, node)
+        }
+        fn on_blocked_request(
+            &mut self,
+            ctx: &mut PolicyCtx<'_>,
+            request: &ConsumptionRequest,
+        ) -> RequestAction {
+            *self
+                .offers
+                .lock()
+                .unwrap()
+                .entry(request.sequence)
+                .or_default() += 1;
+            self.inner.on_blocked_request(ctx, request)
+        }
+    }
+
+    #[test]
+    fn certified_heads_are_offered_once_per_voiding_change() {
+        use crate::workload::WorkloadSpec;
+        use std::sync::{Arc, Mutex};
+
+        // Hybrid at D = 2 on a cycle: the entanglement search usually finds
+        // a path whose nested build lacks the k · missing pairs per pool,
+        // so the head blocks for many events.
+        let config = NetworkConfig::new(Topology::Cycle { nodes: 15 })
+            .with_distillation(DistillationSpec::Uniform(2.0));
+        let workload = || WorkloadSpec::closed_loop(15, 6, 20).generate(5);
+        let run = |always_reoffer: bool| {
+            let offers = Arc::new(Mutex::new(BTreeMap::new()));
+            let policy = Box::new(OfferCounter {
+                inner: PolicyId::HYBRID.instantiate(),
+                offers: Arc::clone(&offers),
+            });
+            let world = drive(
+                config,
+                workload(),
+                policy,
+                KnowledgeModel::Global,
+                5,
+                400,
+                |world| world.always_reoffer = always_reoffer,
+            );
+            let offers = std::mem::take(&mut *offers.lock().unwrap());
+            (world, offers)
+        };
+        let (world, offers) = run(false);
+        let (reference, reference_offers) = run(true);
+        assert_eq!(world.metrics(), reference.metrics());
+        assert!(!world.metrics().satisfied.is_empty());
+        let voids = &world.certificate.voids;
+        for (&sequence, &count) in &offers {
+            let voided = voids.get(&sequence).copied().unwrap_or(0);
+            assert!(
+                count <= voided + 1,
+                "request {sequence}: {count} offers after {voided} voiding changes"
+            );
+        }
+        let total: u64 = offers.values().sum();
+        let reference_total: u64 = reference_offers.values().sum();
+        assert!(
+            10 * total <= reference_total,
+            "{total} offers against the reference drain's {reference_total}"
+        );
     }
 
     #[test]

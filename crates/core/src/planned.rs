@@ -262,6 +262,7 @@ pub fn planned_path_base_pairs(hops: usize, k: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qnet_topology::NodeId;
 
     fn path_nodes(n: usize) -> Vec<NodeId> {
@@ -364,6 +365,89 @@ mod tests {
         // base_for(2) = 2·(1 + 1) = 4; total = 2·4 = 8.
         assert_eq!(planned_path_base_pairs(2, 2), 8);
         assert_eq!(planned_path_base_pairs(1, 3), 3);
+    }
+
+    /// A simple path through `len` distinct nodes of `0..n`, drawn from
+    /// `picks` (each pick indexes the nodes not used yet).
+    fn draw_path(n: usize, len: usize, picks: &[usize]) -> Vec<NodeId> {
+        let mut free: Vec<u32> = (0..n as u32).collect();
+        picks[..len]
+            .iter()
+            .map(|&p| NodeId(free.remove(p % free.len())))
+            .collect()
+    }
+
+    /// Fill `inv` with the drawn pools, ignoring drops on full buffers.
+    fn stock(inv: &mut Inventory, n: usize, pools: &[(usize, usize, u64)]) {
+        for &(a, b, copies) in pools {
+            let (a, b) = (a % n, b % n);
+            if a != b {
+                for _ in 0..copies {
+                    let _ = inv.add_pair(NodePair::new(NodeId::from(a), NodeId::from(b)));
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Without a buffer limit, a nested build that succeeds keeps
+        /// succeeding when pools between path nodes gain pairs: a failed
+        /// build can only be revived by such a gain.
+        #[test]
+        fn dry_run_success_is_upward_closed_in_path_counts(
+            n in 3usize..9,
+            len in 2usize..7,
+            picks in collection::vec(0usize..9, 7),
+            pools in collection::vec((0usize..9, 0usize..9, 1u64..4), 0..40),
+            gains in collection::vec((0usize..7, 0usize..7, 1u64..4), 1..6),
+            count in 1u64..3,
+            k in 1u64..3,
+        ) {
+            let path = draw_path(n, len.min(n), &picks);
+            let mut inv = Inventory::new(n);
+            stock(&mut inv, n, &pools);
+            let before = dry_run_nested_along_path(&inv, &inv, &path, count, k);
+            for (i, j, copies) in gains {
+                let (a, b) = (path[i % path.len()], path[j % path.len()]);
+                if a != b {
+                    for _ in 0..copies {
+                        inv.add_pair(NodePair::new(a, b)).unwrap();
+                    }
+                }
+            }
+            let after = dry_run_nested_along_path(&inv, &inv, &path, count, k);
+            prop_assert!(!before || after, "a gain between path nodes broke a build");
+        }
+
+        /// Under a buffer limit, a nested build that succeeds keeps
+        /// succeeding when path nodes shed pairs leading off the path: the
+        /// counts between path nodes stay put and only loads fall.
+        #[test]
+        fn dry_run_success_is_closed_under_lower_loads(
+            n in 3usize..9,
+            len in 2usize..7,
+            picks in collection::vec(0usize..9, 7),
+            pools in collection::vec((0usize..9, 0usize..9, 1u64..4), 0..40),
+            sheds in collection::vec((0usize..9, 0usize..9, 1u64..4), 1..8),
+            limit in 1u64..6,
+            count in 1u64..3,
+            k in 1u64..3,
+        ) {
+            let path = draw_path(n, len.min(n), &picks);
+            let mut inv = Inventory::with_buffer_limit(n, limit);
+            stock(&mut inv, n, &pools);
+            let before = dry_run_nested_along_path(&inv, &inv, &path, count, k);
+            let on_path = |x: usize| path.contains(&NodeId::from(x));
+            for (a, b, copies) in sheds {
+                let (a, b) = (a % n, b % n);
+                if a != b && on_path(a) != on_path(b) {
+                    let p = NodePair::new(NodeId::from(a), NodeId::from(b));
+                    let _ = inv.remove_pairs(p, copies.min(inv.count(p)));
+                }
+            }
+            let after = dry_run_nested_along_path(&inv, &inv, &path, count, k);
+            prop_assert!(!before || after, "lower loads broke a build");
+        }
     }
 
     #[test]

@@ -225,12 +225,9 @@ impl SwapPolicy for GreedyOrderPolicy {
             // succeeded is damage attributable to staleness: a miss.
             let consumer = request.pair.lo();
             let view = ctl.view(consumer);
-            let age = {
-                let owner_aware = view.for_owner(consumer, ctx.inventory);
-                path.windows(2)
-                    .map(|w| owner_aware.pair_age_s(NodePair::new(w[0], w[1]), ctx.now))
-                    .fold(0.0, f64::max)
-            };
+            let age = view
+                .for_owner(consumer, ctx.inventory)
+                .path_age_s(path, ctx.now);
             return match execute_greedy_along_path_stale(
                 ctx.inventory,
                 view,

@@ -4,7 +4,7 @@
 use super::{oblivious::ObliviousPolicy, PolicyCtx, PolicyId, RequestAction, SwapPolicy};
 use crate::balancer::{BalancerPolicy, CountView, SwapCandidate};
 use crate::control::OwnerAwareView;
-use crate::hybrid::{entanglement_bfs, hybrid_repair};
+use crate::hybrid::{hybrid_repair, EntanglementSearch};
 use crate::planned::execute_nested_along_path;
 use crate::workload::ConsumptionRequest;
 use qnet_topology::{NodeId, NodePair};
@@ -13,9 +13,13 @@ use qnet_topology::{NodeId, NodePair};
 /// not directly satisfiable, search for a shortest path over the *existing*
 /// Bell pairs (which balancing has been seeding) and close the gap with the
 /// few swaps it needs.
+///
+/// A failed repair leaves a wait certificate naming the rows its search
+/// read and, when it found a path, the path whose build failed.
 #[derive(Debug, Default)]
 pub struct HybridPolicy {
     balancer: BalancerPolicy,
+    search: EntanglementSearch,
 }
 
 impl HybridPolicy {
@@ -44,57 +48,71 @@ impl SwapPolicy for HybridPolicy {
         request: &ConsumptionRequest,
     ) -> RequestAction {
         let k = ctx.pairs_per_distilled();
-        if let Some(ctl) = ctx.control {
-            // The consumer plans its repair over the entanglement graph *it
-            // believes in*: its own pools are exact, every remote-remote
-            // pair comes from its stale knowledge view. A believed path
-            // whose pairs were consumed while the row aged is a miss.
-            let consumer = request.pair.lo();
-            let (path, age) = {
-                let view = ctl.view(consumer).for_owner(consumer, ctx.inventory);
-                let n = ctx.inventory.node_count();
-                let Some(path) = believed_path(&view, n, request.pair, k) else {
-                    return RequestAction::Wait;
-                };
-                let age = path
-                    .windows(2)
-                    .map(|w| view.pair_age_s(NodePair::new(w[0], w[1]), ctx.now))
-                    .fold(0.0, f64::max);
-                (path, age)
-            };
-            ctx.telemetry.record_age(age);
-            return match execute_nested_along_path(ctx.inventory, &path, k, k) {
+        let Some(ctl) = ctx.control else {
+            return match hybrid_repair(ctx.inventory, &mut self.search, request.pair, k, k) {
                 Some(swaps) => RequestAction::Repaired(swaps),
+                None if self.search.path().is_empty() => {
+                    ctx.certificate.reached_no_path(self.search.expanded(), k);
+                    RequestAction::Wait
+                }
                 None => {
-                    ctx.telemetry.record_miss(request.pair);
+                    ctx.certificate.read_rows(self.search.expanded(), k);
+                    ctx.certificate.build_failed_along(self.search.path());
                     RequestAction::Wait
                 }
             };
+        };
+        // The consumer plans its repair over the entanglement graph *it
+        // believes in*: its own pools are exact, every remote-remote pair
+        // comes from its stale knowledge view. A believed path whose pairs
+        // were consumed while the row aged is a miss.
+        let consumer = request.pair.lo();
+        let known = ctl.view(consumer);
+        let n = ctx.inventory.node_count();
+        let found = {
+            let view = known.for_owner(consumer, ctx.inventory);
+            let found = self
+                .search
+                .run(n, request.pair, k, |u| believed_row(&view, n, u));
+            if found {
+                ctx.telemetry
+                    .record_age(view.path_age_s(self.search.path(), ctx.now));
+            }
+            found
+        };
+        ctx.certificate.rests_on_view(consumer, known.revision());
+        if !found {
+            ctx.certificate.reached_no_path(self.search.expanded(), k);
+            return RequestAction::Wait;
         }
-        match hybrid_repair(ctx.inventory, request.pair, k, k) {
+        ctx.certificate.read_rows(self.search.expanded(), k);
+        let path = self.search.path();
+        match execute_nested_along_path(ctx.inventory, path, k, k) {
             Some(swaps) => RequestAction::Repaired(swaps),
-            None => RequestAction::Wait,
+            None => {
+                ctx.telemetry.record_miss(request.pair);
+                ctx.certificate.build_failed_along(path);
+                ctx.certificate.replays_stale_miss();
+                RequestAction::Wait
+            }
         }
     }
 }
 
-/// Shortest path over the entanglement graph the consumer *believes in*:
-/// each visited node's row is read from `view` (exact for the owner's own
-/// pools, stale for remote-remote pairs) by scanning its peers in ascending
-/// id: O(visited · n), never more than the O(n²) scan of every believed
-/// pair that materialising the graph would take.
-fn believed_path(
-    view: &OwnerAwareView<'_>,
+/// Row `u` of the entanglement graph the consumer *believes in*, read from
+/// `view` (exact for the owner's own pools, stale for remote-remote pairs)
+/// by scanning `u`'s peers in ascending id: a search costs O(visited · n),
+/// never more than the O(n²) scan of every believed pair that
+/// materialising the graph would take.
+fn believed_row<'v>(
+    view: &'v OwnerAwareView<'_>,
     n: usize,
-    pair: NodePair,
-    k: u64,
-) -> Option<Vec<NodeId>> {
-    entanglement_bfs(n, pair, k, |u| {
-        (0..n)
-            .map(NodeId::from)
-            .filter(move |&v| v != u)
-            .map(move |v| (v, view.count(NodePair::new(u, v))))
-    })
+    u: NodeId,
+) -> impl Iterator<Item = (NodeId, u64)> + 'v {
+    (0..n)
+        .map(NodeId::from)
+        .filter(move |&v| v != u)
+        .map(move |v| (v, view.count(NodePair::new(u, v))))
 }
 
 #[cfg(test)]
@@ -102,6 +120,7 @@ mod tests {
     use super::*;
     use crate::config::NetworkConfig;
     use crate::control::KnowledgeView;
+    use crate::hybrid::entanglement_bfs;
     use crate::hybrid::reference::graph_from_pairs;
     use crate::inventory::Inventory;
     use crate::test_support::{pair, run_world};
@@ -166,7 +185,8 @@ mod tests {
             let expected = bfs_path(&graph_from_pairs(n, believed, min_count), p.lo(), p.hi())
                 .map(|r| r.nodes);
             let view = known.for_owner(owner, &truth);
-            prop_assert_eq!(believed_path(&view, n, p, min_count), expected);
+            let found = entanglement_bfs(n, p, min_count, |u| believed_row(&view, n, u));
+            prop_assert_eq!(found, expected);
         }
     }
 }

@@ -31,6 +31,7 @@
 //! Optimal Orders for Entanglement Swapping in Path Graphs") that was added
 //! *through* this API as its proof of extensibility.
 
+pub mod certificate;
 pub mod gossip_aware;
 pub mod greedy;
 pub mod hybrid;
@@ -47,6 +48,8 @@ use qnet_topology::{Graph, NodeId, PathOracle};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
+
+pub use certificate::WaitCertificate;
 
 // ---------------------------------------------------------------------------
 // The policy-facing view of the simulation substrate
@@ -80,6 +83,12 @@ pub struct PolicyCtx<'a> {
     /// misses here; the world drains it into observer hooks after each
     /// policy call.
     pub telemetry: &'a mut DecisionTelemetry,
+    /// Scratch pad for the wait certificate of a blocked head-of-line
+    /// offer: what a `Wait` verdict read, so the world can skip re-offers
+    /// until a change that could alter it (see
+    /// [`SwapPolicy::on_blocked_request`]). Fills outside such an offer are
+    /// ignored.
+    pub certificate: &'a mut WaitCertificate,
     /// The world's shortest-path oracle over the immutable generation
     /// graph: memoized per-source BFS rows (all-pairs precomputed on small
     /// graphs). Planned/greedy disciplines query it instead of running
@@ -169,6 +178,20 @@ pub trait SwapPolicy: fmt::Debug + Send {
     /// inventory: decide what to do. Repair swaps performed inside this hook
     /// must be reported back via [`RequestAction::Repaired`] so the world
     /// can account their classical cost.
+    ///
+    /// **Wait certificates.** Under [`QueueDiscipline::HeadOfLine`] the
+    /// world offers the blocked head after every inventory gain. A hook
+    /// that returns [`RequestAction::Wait`] may fill `ctx.certificate` with
+    /// what the verdict read (see [`certificate`]): the rows an
+    /// entanglement search expanded at threshold `k`, the path whose nested
+    /// build failed, the consumer's knowledge view, and the stale telemetry
+    /// the offer emitted. Filling it is a promise: while no count change
+    /// and no view install that the certificate's rules name has happened,
+    /// and the head is the same request, the hook would return `Wait`
+    /// again, without side effects, recording exactly the telemetry the
+    /// certificate says it replays. The world then skips those offers and
+    /// replays that telemetry itself. A hook that fills nothing is offered
+    /// every time.
     fn on_blocked_request(
         &mut self,
         ctx: &mut PolicyCtx<'_>,

@@ -46,6 +46,11 @@ impl PathCache {
 /// touching truth (exactly what a real partial-knowledge consumer would
 /// do), and believed-feasible builds that then fail against drifted ground
 /// truth are recorded as missed swaps.
+///
+/// A failed build leaves a wait certificate on its path, and so does a
+/// believed-infeasible dry run (together with the view it read). A
+/// believed-feasible build that fails leaves none: its telemetry would
+/// turn into a silent wait on a believed decrease that voids nothing.
 fn nested_repair(
     ctx: &mut PolicyCtx<'_>,
     cache: &mut PathCache,
@@ -55,22 +60,16 @@ fn nested_repair(
     let path = cache.nodes(ctx, request.pair)?;
     if let Some(ctl) = ctx.control {
         let consumer = request.pair.lo();
-        let feasible = {
-            let view = ctl.view(consumer).for_owner(consumer, ctx.inventory);
-            dry_run_nested_along_path(ctx.inventory, &view, path, k, k)
-        };
-        if !feasible {
+        let known = ctl.view(consumer);
+        let view = known.for_owner(consumer, ctx.inventory);
+        if !dry_run_nested_along_path(ctx.inventory, &view, path, k, k) {
+            ctx.certificate.believed_build_failed_along(path);
+            ctx.certificate.rests_on_view(consumer, known.revision());
             return Some(RequestAction::Wait);
         }
         // The consumer commits to the build on believed counts: record the
         // stalest base-pool row the decision rested on.
-        let age = {
-            let view = ctl.view(consumer).for_owner(consumer, ctx.inventory);
-            path.windows(2)
-                .map(|w| view.pair_age_s(NodePair::new(w[0], w[1]), ctx.now))
-                .fold(0.0, f64::max)
-        };
-        ctx.telemetry.record_age(age);
+        ctx.telemetry.record_age(view.path_age_s(path, ctx.now));
         return Some(match execute_nested_along_path(ctx.inventory, path, k, k) {
             Some(swaps) => RequestAction::Repaired(swaps),
             None => {
@@ -81,7 +80,10 @@ fn nested_repair(
     }
     Some(match execute_nested_along_path(ctx.inventory, path, k, k) {
         Some(swaps) => RequestAction::Repaired(swaps),
-        None => RequestAction::Wait,
+        None => {
+            ctx.certificate.build_failed_along(path);
+            RequestAction::Wait
+        }
     })
 }
 
