@@ -772,6 +772,16 @@ mod tests {
             "horizon"
         );
         assert_ne!(
+            small_grid().with_swap_scan_rate(8.0).fingerprint(),
+            base,
+            "swap-scan rate"
+        );
+        assert_ne!(
+            small_grid().with_generation_rate(2.0).fingerprint(),
+            base,
+            "generation rate"
+        );
+        assert_ne!(
             small_grid()
                 .with_modes(vec![PolicyId::OBLIVIOUS])
                 .fingerprint(),

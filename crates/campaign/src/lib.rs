@@ -25,7 +25,8 @@
 //!    campaign (see the determinism tests).
 //!
 //! The `campaign` CLI binary wraps all four steps; `qnet-bench` adds micro
-//! benchmarks and a sweep binary on top of the same API.
+//! benchmarks and the `campaign_figures` binary (the paper's Figures 4/5
+//! and the swap-scan-rate ablation) on top of the same API.
 //!
 //! ## Incremental and distributed campaigns
 //!

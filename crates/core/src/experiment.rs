@@ -6,7 +6,7 @@
 //! discrete-event engine to completion and returns an [`ExperimentResult`]
 //! that carries both the headline swap-overhead number and the full
 //! [`RunMetrics`] for deeper analysis. Sweeps (Figures 4 and 5, the
-//! ablations) are thin loops over `Experiment` in `qnet-bench`.
+//! ablations) run many `Experiment`s in parallel through `qnet-campaign`.
 
 use crate::classical::KnowledgeModel;
 use crate::config::NetworkConfig;
@@ -244,39 +244,6 @@ impl Experiment {
     }
 }
 
-/// Run the same experiment with several seeds and average the swap overhead
-/// (ignoring runs whose denominator is zero). Returns
-/// `(mean overhead, satisfied fraction)`.
-pub fn mean_overhead_over_seeds(config: &ExperimentConfig, seeds: &[u64]) -> (Option<f64>, f64) {
-    let mut overheads = Vec::new();
-    let mut satisfied = 0usize;
-    let mut total = 0usize;
-    for &seed in seeds {
-        let mut c = *config;
-        c.seed = seed;
-        c.network.topology_seed = seed;
-        let result = Experiment::new(c).run();
-        if let Some(o) = result.swap_overhead() {
-            overheads.push(o);
-        }
-        satisfied += result.satisfied_requests;
-        total += result.satisfied_requests
-            + result.unsatisfied_requests as usize
-            + result.metrics.fidelity_rejected_requests as usize;
-    }
-    let mean = if overheads.is_empty() {
-        None
-    } else {
-        Some(overheads.iter().sum::<f64>() / overheads.len() as f64)
-    };
-    let ratio = if total == 0 {
-        1.0
-    } else {
-        satisfied as f64 / total as f64
-    };
-    (mean, ratio)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,18 +333,6 @@ mod tests {
         assert_eq!(c.network.distillation_overhead(), 2.0);
         assert_eq!(c.workload.consumer_pairs, 35);
         assert_eq!(c.mode, PolicyId::OBLIVIOUS);
-    }
-
-    #[test]
-    fn mean_overhead_over_seeds_aggregates() {
-        let mut c = small_config();
-        c.workload = c.workload.with_requests(5);
-        c.max_sim_time_s = 1_000.0;
-        let (mean, ratio) = mean_overhead_over_seeds(&c, &[1, 2]);
-        assert!(ratio > 0.0);
-        if let Some(m) = mean {
-            assert!(m >= 1.0);
-        }
     }
 
     #[test]

@@ -725,8 +725,10 @@ impl Inventory {
     /// pair `[y, y']`.
     ///
     /// The costs are the `⌈D⌉` factors of the distill-before-swap model
-    /// described in DESIGN.md; with `D = 1` this is the textbook swap that
-    /// consumes one pair on each side.
+    /// of paper §3.2 (see
+    /// [`NetworkConfig::pairs_per_distilled`](crate::NetworkConfig::pairs_per_distilled));
+    /// with `D = 1` this is the textbook swap that consumes one pair on each
+    /// side.
     pub fn apply_swap(
         &mut self,
         repeater: NodeId,

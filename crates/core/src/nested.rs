@@ -12,8 +12,7 @@
 //! This module implements that recursion exactly as the paper states it, plus
 //! a variant ([`nested_swap_cost_with_joins`]) that also charges the
 //! top-level joining swaps (`s'(n) = D·(s'(⌊n/2⌋) + s'(⌈n/2⌉)) + D`), which is
-//! the count an executing simulator actually performs; EXPERIMENTS.md
-//! discusses the difference.
+//! the count an executing simulator actually performs.
 
 /// The paper's nested swapping cost `s(n)` for an `n`-hop shortest path and
 /// uniform distillation overhead `d`.

@@ -6,8 +6,9 @@
 //! request but Bell pairs at shared links are competed for). This module
 //! provides the executable machinery both share: nested swapping along a
 //! concrete node path, drawing base pairs from the inventory pools of
-//! consecutive path edges, with the distill-before-use cost model described
-//! in DESIGN.md (`⌈D⌉` pairs drawn per use).
+//! consecutive path edges, with the distill-before-use cost model of paper
+//! §3.2 (`⌈D⌉` pairs drawn per use, see
+//! [`NetworkConfig::pairs_per_distilled`](crate::NetworkConfig::pairs_per_distilled)).
 //!
 //! The planned-path swap policies ([`crate::policy::planned`]) drive these
 //! executors from inside the simulation harness; the pure analytic optimum

@@ -12,14 +12,13 @@
 //! * **Simplicity and robustness** — no async runtime, no threads inside the
 //!   engine, no unsafe code. The simulation is CPU-bound and single-threaded;
 //!   parallelism, when wanted, is obtained by running independent replicas on
-//!   separate threads (see `qnet-bench`).
+//!   separate threads (see `qnet-campaign`).
 //! * **Determinism** — all randomness flows through [`SimRng`], a seeded
 //!   ChaCha-based generator with labelled sub-streams. Two runs with the same
 //!   seed produce bit-identical event orderings; ties in event time are broken
 //!   by insertion sequence number.
 //! * **Observability** — lightweight statistics collectors
-//!   ([`stats::Counter`], [`stats::TimeWeighted`], [`stats::Histogram`]) and a
-//!   pluggable [`trace::Tracer`].
+//!   ([`stats::RunningStats`], [`stats::StreamingQuantiles`]).
 //!
 //! ## Quick example
 //!
@@ -57,10 +56,9 @@ pub mod process;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use engine::{Engine, RunResult, StopCondition, World};
 pub use event::{EventQueue, ScheduledEvent};
-pub use process::{FixedIntervalProcess, PoissonProcess};
+pub use process::PoissonProcess;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -1,9 +1,8 @@
 //! Arrival processes.
 //!
 //! Simulation models frequently need "this happens repeatedly at rate λ"
-//! (Poisson) or "this happens every Δt" (fixed interval). These helpers
-//! produce the next arrival time; the model is responsible for scheduling the
-//! corresponding event.
+//! (Poisson). This helper produces the next arrival time; the model is
+//! responsible for scheduling the corresponding event.
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -46,48 +45,6 @@ impl PoissonProcess {
     }
 }
 
-/// A deterministic fixed-interval arrival process.
-#[derive(Debug, Clone)]
-pub struct FixedIntervalProcess {
-    interval: SimDuration,
-}
-
-impl FixedIntervalProcess {
-    /// Create a process that fires every `interval`. A zero interval is
-    /// permitted but the caller must take care to avoid infinite same-time
-    /// loops.
-    pub fn new(interval: SimDuration) -> Self {
-        FixedIntervalProcess { interval }
-    }
-
-    /// Create from a rate in events per second (interval = 1/rate).
-    /// A non-positive rate yields a process that never fires.
-    pub fn from_rate(rate_per_sec: f64) -> Self {
-        if rate_per_sec <= 0.0 {
-            FixedIntervalProcess {
-                interval: SimDuration::MAX,
-            }
-        } else {
-            FixedIntervalProcess {
-                interval: SimDuration::from_secs_f64(1.0 / rate_per_sec),
-            }
-        }
-    }
-
-    /// The interval between arrivals.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
-    /// The next arrival after `now`, or `None` if the process never fires.
-    pub fn next_arrival(&self, now: SimTime) -> Option<SimTime> {
-        if self.interval == SimDuration::MAX {
-            return None;
-        }
-        Some(now.saturating_add(self.interval))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,22 +80,5 @@ mod tests {
             assert!(next >= now);
             now = next;
         }
-    }
-
-    #[test]
-    fn fixed_interval_is_exact() {
-        let p = FixedIntervalProcess::new(SimDuration::from_millis(5));
-        let t1 = p.next_arrival(SimTime::ZERO).unwrap();
-        let t2 = p.next_arrival(t1).unwrap();
-        assert_eq!(t1, SimTime::from_millis(5));
-        assert_eq!(t2, SimTime::from_millis(10));
-    }
-
-    #[test]
-    fn fixed_interval_from_rate() {
-        let p = FixedIntervalProcess::from_rate(4.0);
-        assert_eq!(p.interval(), SimDuration::from_millis(250));
-        let silent = FixedIntervalProcess::from_rate(0.0);
-        assert!(silent.next_arrival(SimTime::ZERO).is_none());
     }
 }

@@ -1,37 +1,12 @@
 //! Statistics collectors.
 //!
-//! Small, allocation-light collectors used by simulation models to accumulate
-//! results: simple counters, running mean/variance (Welford), time-weighted
-//! averages (for quantities like "Bell pairs in flight"), and fixed-bin
-//! histograms.
+//! Small, allocation-light collectors used by simulation models and
+//! campaign aggregation to accumulate results: running mean/variance
+//! (Welford), the shared nearest-rank percentile, and fixed-memory
+//! streaming quantiles (exact below a sample threshold, a log-bucket
+//! sketch above it).
 
-use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter {
-    count: u64,
-}
-
-impl Counter {
-    /// New counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-    /// Increment by one.
-    pub fn incr(&mut self) {
-        self.count += 1;
-    }
-    /// Increment by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.count += n;
-    }
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.count
-    }
-}
 
 /// Running mean and variance using Welford's algorithm.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -513,123 +488,6 @@ impl StreamingQuantiles {
     }
 }
 
-/// Time-weighted average of a piecewise-constant quantity (e.g. a buffer
-/// occupancy). Call [`TimeWeighted::update`] whenever the value changes.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct TimeWeighted {
-    value: f64,
-    last_change: SimTime,
-    weighted_sum: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Start tracking with the given initial value at time `start`.
-    pub fn new(start: SimTime, initial: f64) -> Self {
-        TimeWeighted {
-            value: initial,
-            last_change: start,
-            weighted_sum: 0.0,
-            start,
-        }
-    }
-
-    /// Record that the tracked quantity takes value `new_value` from time
-    /// `now` onwards.
-    pub fn update(&mut self, now: SimTime, new_value: f64) {
-        let dt = now.saturating_since(self.last_change).as_secs_f64();
-        self.weighted_sum += self.value * dt;
-        self.value = new_value;
-        self.last_change = now;
-    }
-
-    /// The current value.
-    pub fn current(&self) -> f64 {
-        self.value
-    }
-
-    /// The time-weighted mean over `[start, now]`.
-    pub fn mean(&self, now: SimTime) -> f64 {
-        let total = now.saturating_since(self.start).as_secs_f64();
-        if total <= 0.0 {
-            return self.value;
-        }
-        let tail = now.saturating_since(self.last_change).as_secs_f64();
-        (self.weighted_sum + self.value * tail) / total
-    }
-}
-
-/// A histogram with uniform-width bins over `[lo, hi)`; observations outside
-/// the range are clamped into the first/last bin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `bins` bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        let nbins = self.bins.len();
-        let idx = if x <= self.lo {
-            0
-        } else if x >= self.hi {
-            nbins - 1
-        } else {
-            let frac = (x - self.lo) / (self.hi - self.lo);
-            ((frac * nbins as f64) as usize).min(nbins - 1)
-        };
-        self.bins[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Raw bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Approximate quantile (0 ≤ q ≤ 1) using bin midpoints. Returns `None`
-    /// when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * self.total as f64).ceil().max(1.0) as u64;
-        let mut cum = 0;
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return Some(self.lo + width * (i as f64 + 0.5));
-            }
-        }
-        Some(self.hi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,14 +500,6 @@ mod tests {
         assert_eq!(percentile_of_sorted(&xs, 0.5), Some(2.0));
         assert_eq!(percentile_of_sorted(&xs, 1.0), Some(4.0));
         assert_eq!(percentile_of_sorted(&[], 0.5), None);
-    }
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
     }
 
     #[test]
@@ -807,59 +657,6 @@ mod tests {
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.update(SimTime::from_secs(10), 10.0); // value 0 for 10s
-        tw.update(SimTime::from_secs(20), 0.0); // value 10 for 10s
-        let mean = tw.mean(SimTime::from_secs(20));
-        assert!((mean - 5.0).abs() < 1e-9, "mean {mean}");
-        // Holding the last value for another 20s drags the mean down to 2.5.
-        let mean2 = tw.mean(SimTime::from_secs(40));
-        assert!((mean2 - 2.5).abs() < 1e-9, "mean2 {mean2}");
-        assert_eq!(tw.current(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_at_start_returns_current() {
-        let tw = TimeWeighted::new(SimTime::from_secs(5), 3.0);
-        assert_eq!(tw.mean(SimTime::from_secs(5)), 3.0);
-    }
-
-    #[test]
-    fn histogram_bins_and_quantiles() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..100 {
-            h.record(i as f64 / 10.0); // 0.0 .. 9.9 uniformly
-        }
-        assert_eq!(h.total(), 100);
-        assert!(h.bins().iter().all(|&c| c == 10));
-        let median = h.quantile(0.5).unwrap();
-        assert!((median - 4.5).abs() <= 1.0, "median {median}");
-        assert_eq!(h.quantile(0.0).unwrap(), 0.5);
-    }
-
-    #[test]
-    fn histogram_clamps_out_of_range() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.record(-5.0);
-        h.record(20.0);
-        assert_eq!(h.bins()[0], 1);
-        assert_eq!(h.bins()[3], 1);
-    }
-
-    #[test]
-    fn histogram_empty_quantile_is_none() {
-        let h = Histogram::new(0.0, 1.0, 4);
-        assert!(h.quantile(0.5).is_none());
-    }
-
-    #[test]
-    #[should_panic]
-    fn histogram_rejects_empty_range() {
-        let _ = Histogram::new(1.0, 1.0, 4);
     }
 
     /// Relative-error bound the sketch documents: 2⁻⁸, plus float slop.

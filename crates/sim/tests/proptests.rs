@@ -4,10 +4,7 @@
 use proptest::prelude::*;
 use qnet_sim::event::EventQueue;
 use qnet_sim::rng::SimRng;
-use qnet_sim::stats::{
-    percentile_of_sorted, Histogram, LogQuantileSketch, RunningStats, StreamingQuantiles,
-    TimeWeighted,
-};
+use qnet_sim::stats::{percentile_of_sorted, LogQuantileSketch, RunningStats, StreamingQuantiles};
 use qnet_sim::time::{SimDuration, SimTime};
 use rand::RngCore;
 
@@ -199,39 +196,6 @@ proptest! {
         // Min/max and counts merge exactly in any order.
         prop_assert_eq!(left_fold.min(), tree.min());
         prop_assert_eq!(left_fold.max(), tree.max());
-    }
-
-    /// Histogram: total count equals the number of observations and the
-    /// quantiles are within the configured range and monotone.
-    #[test]
-    fn histogram_quantiles_monotone(xs in proptest::collection::vec(-10.0f64..10.0, 1..300)) {
-        let mut h = Histogram::new(-5.0, 5.0, 20);
-        for &x in &xs {
-            h.record(x);
-        }
-        prop_assert_eq!(h.total(), xs.len() as u64);
-        let q25 = h.quantile(0.25).unwrap();
-        let q50 = h.quantile(0.5).unwrap();
-        let q75 = h.quantile(0.75).unwrap();
-        prop_assert!(q25 <= q50 + 1e-9 && q50 <= q75 + 1e-9);
-        prop_assert!((-5.0..=5.0).contains(&q25) && (-5.0..=5.0).contains(&q75));
-    }
-
-    /// Time-weighted mean of a piecewise-constant signal is bounded by the
-    /// extremes of the recorded values.
-    #[test]
-    fn time_weighted_mean_bounded(values in proptest::collection::vec(0.0f64..100.0, 1..50)) {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, values[0]);
-        let mut t = SimTime::ZERO;
-        for (i, &v) in values.iter().enumerate().skip(1) {
-            t = SimTime::from_secs(i as u64);
-            tw.update(t, v);
-        }
-        let end = t + SimDuration::from_secs(1);
-        let mean = tw.mean(end);
-        let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(mean >= lo - 1e-9 && mean <= hi + 1e-9);
     }
 }
 

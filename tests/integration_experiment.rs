@@ -47,7 +47,7 @@ fn distillation_overhead_increases_total_work() {
     // scale: raising D makes the network do more work per satisfied request
     // (more swaps and more generated pairs), and the swap-overhead metric
     // does not *shrink* materially. The full paper-scale Figure-4 shape is
-    // regenerated by the `fig4` binary (see EXPERIMENTS.md).
+    // regenerated by the `campaign_figures` binary in `qnet-bench`.
     let stats = |d: f64| {
         let mut swaps_per_sat = 0.0;
         let mut generated_per_sat = 0.0;
