@@ -1,27 +1,25 @@
 //! Scenario grids: declarative cartesian products of experiment axes.
 //!
-//! A [`ScenarioGrid`] names the axes of a sweep — topology families,
-//! protocol modes, distillation overheads, knowledge models, workload specs,
-//! decoherence settings — plus a replicate count and a master seed, and
-//! expands them into a deterministic sequence of [`Scenario`]s. Every
-//! scenario's RNG seed is derived from `(master seed, environment index,
-//! replicate)` with a SplitMix64-style mix, where the *environment index*
-//! spans only the world-defining axes (topology, distillation, coherence,
-//! workload) and deliberately excludes the protocol axes (mode,
-//! knowledge). Consequences:
+//! A [`ScenarioGrid`] names eight axes — topology, mode, distillation,
+//! knowledge, coherence time, physics, fabric and workload — plus a
+//! replicate count and a master seed, and expands them into a deterministic
+//! sequence of [`Scenario`]s. Each axis fact is stated once:
 //!
-//! * the same grid + master seed always produces the same scenarios, in the
-//!   same order, regardless of how many worker threads execute them,
-//! * replicates within a cell get decorrelated seeds without any global
-//!   draw ordering the runner would have to reproduce, and
-//! * cells that differ only in protocol (mode / knowledge) run on
-//!   **identical** random-graph instances and workloads, so cross-mode
-//!   comparisons (the oblivious-vs-planned ratio rows) are properly
+//! * `axis_lens` gives the expansion order (topology outermost, replicate
+//!   innermost); the cell count, the cell decode, the environment index and
+//!   the empty-axis rule derive from it. Scenario ids are dense
+//!   `0..grid.scenario_count()` indices into that order.
+//! * Each axis value type with range rules owns a `check`, which both the
+//!   CLI parsers and [`ScenarioGrid::check`] call.
+//! * Scenario seeds derive from `(master seed, environment index,
+//!   replicate)` with a SplitMix64-style mix. The *environment index* spans
+//!   only `ENVIRONMENT_AXES`, the world-defining axes, and excludes the
+//!   protocol axes (mode, knowledge). So the same grid + master seed always
+//!   produces the same scenarios regardless of worker-thread count,
+//!   replicates get decorrelated seeds without a global draw order, and
+//!   cells that differ only in protocol run on **identical** graph instances
+//!   and workloads — the oblivious-vs-planned ratio rows are properly
 //!   paired rather than confounded by graph-instance variance.
-//!
-//! The expansion order is row-major over the axes in the order they appear
-//! in the struct (topology outermost, replicate innermost); scenario ids
-//! are dense `0..grid.scenario_count()` indices into that order.
 
 use qnet_core::classical::KnowledgeModel;
 use qnet_core::config::{DistillationSpec, NetworkConfig};
@@ -32,6 +30,24 @@ use qnet_core::workload::{PairSelection, TrafficModel, WorkloadSpec};
 use qnet_quantum::decoherence::DecoherenceModel;
 use qnet_topology::{FabricSpec, Topology};
 use serde::{Deserialize, Serialize};
+
+/// The axis names in expansion order, as [`ScenarioGrid::check`] reports
+/// an empty axis.
+const AXIS_NAMES: [&str; 8] = [
+    "topology",
+    "mode",
+    "distillation",
+    "knowledge",
+    "coherence-time",
+    "physics",
+    "fabric",
+    "workload",
+];
+
+/// The axes that define the simulated world, in expansion order: every
+/// axis but the protocol axes (mode, knowledge). Scenario seeds span only
+/// these.
+const ENVIRONMENT_AXES: [bool; 8] = [true, false, true, false, true, true, true, true];
 
 /// One fully resolved cell of the grid: every axis pinned to a value.
 ///
@@ -327,40 +343,38 @@ impl ScenarioGrid {
         self.checked()
     }
 
-    /// The rules every runnable grid satisfies: no axis is empty, every
-    /// topology has at least two nodes (consumer pairs need two
-    /// endpoints), distillation overheads are `≥ 1`, a non-trivial
-    /// coherence-time axis does not combine with decoherent physics, there
-    /// is at least one replicate, and the horizon and both rates are
-    /// positive. NaN fails every numeric rule.
+    /// The rules every runnable grid satisfies: no axis is empty; every
+    /// axis value passes its type's own `check` (topologies, knowledge
+    /// models, physics models and workloads; modes and fabrics have no
+    /// range rules); distillation overheads are `≥ 1` and coherence times
+    /// positive; a non-trivial coherence-time axis does not combine with
+    /// decoherent physics; there is at least one replicate; and the
+    /// horizon and both rates are positive. NaN fails every numeric rule.
     ///
     /// The builders panic when a rule fails; grid descriptors read from
     /// files (`--grid-file`, shard headers, orchestrator run directories)
     /// return the error instead, so bad input never reaches a worker
     /// thread.
     pub fn check(&self) -> Result<(), String> {
-        let axes = [
-            ("topology", self.topologies.len()),
-            ("mode", self.modes.len()),
-            ("distillation", self.distillations.len()),
-            ("knowledge", self.knowledge.len()),
-            ("coherence-time", self.coherence_times_s.len()),
-            ("physics", self.physics.len()),
-            ("fabric", self.fabrics.len()),
-            ("workload", self.workloads.len()),
-        ];
-        if let Some((axis, _)) = axes.iter().find(|(_, len)| *len == 0) {
-            return Err(format!("{axis} axis cannot be empty"));
+        if let Some(axis) = self.axis_lens().iter().position(|&len| len == 0) {
+            return Err(format!("{} axis cannot be empty", AXIS_NAMES[axis]));
         }
-        if let Some(t) = self.topologies.iter().find(|t| t.node_count() < 2) {
-            return Err(format!(
-                "topology {} has fewer than 2 nodes; consumer pairs need at least 2",
-                t.label()
-            ));
-        }
+        self.topologies.iter().try_for_each(Topology::check)?;
         if let Some(d) = self.distillations.iter().find(|d| !(1.0..).contains(*d)) {
             return Err(format!("distillation overheads must be ≥ 1 (got {d})"));
         }
+        self.knowledge.iter().try_for_each(KnowledgeModel::check)?;
+        let positive = |x: f64| x > 0.0;
+        if let Some(t) = self
+            .coherence_times_s
+            .iter()
+            .flatten()
+            .find(|&&t| !positive(t))
+        {
+            return Err(format!("coherence times must be positive (got {t})"));
+        }
+        self.physics.iter().try_for_each(PhysicsModel::check)?;
+        self.workloads.iter().try_for_each(WorkloadSpec::check)?;
         // A non-trivial coherence-time axis alongside decoherent physics
         // would sweep a knob the decoherent cells ignore (their models
         // carry their own coherence times), forking seeds and report rows
@@ -377,7 +391,6 @@ impl ScenarioGrid {
         if self.replicates < 1 {
             return Err("need at least one replicate per cell".to_string());
         }
-        let positive = |x: f64| x > 0.0;
         for (what, value) in [
             ("horizon", self.max_sim_time_s),
             ("generation rate", self.generation_rate),
@@ -427,14 +440,7 @@ impl ScenarioGrid {
 
     /// Number of distinct cells.
     pub fn cell_count(&self) -> usize {
-        self.topologies.len()
-            * self.modes.len()
-            * self.distillations.len()
-            * self.knowledge.len()
-            * self.coherence_times_s.len()
-            * self.physics.len()
-            * self.fabrics.len()
-            * self.workloads.len()
+        self.axis_lens().iter().product()
     }
 
     /// Total number of scenarios (`cells × replicates`).
@@ -442,99 +448,69 @@ impl ScenarioGrid {
         self.cell_count() * self.replicates as usize
     }
 
-    /// The axis values of cell `cell` (row-major decode of the expansion
-    /// order).
-    #[allow(clippy::type_complexity)]
-    fn cell_axes(
-        &self,
-        cell: usize,
-    ) -> (
-        Topology,
-        PolicyId,
-        f64,
-        KnowledgeModel,
-        Option<f64>,
-        PhysicsModel,
-        Option<FabricSpec>,
-        WorkloadSpec,
-    ) {
-        let [t, m, d, k, c, p, f, w] = self.decode_cell(cell);
-        (
-            self.topologies[t],
-            self.modes[m],
-            self.distillations[d],
-            self.knowledge[k],
-            self.coherence_times_s[c],
-            self.physics[p],
-            self.fabrics[f],
-            self.workloads[w],
-        )
+    /// The axis lengths in expansion order (topology outermost), the
+    /// order [`AXIS_NAMES`] and [`ENVIRONMENT_AXES`] follow.
+    fn axis_lens(&self) -> [usize; 8] {
+        [
+            self.topologies.len(),
+            self.modes.len(),
+            self.distillations.len(),
+            self.knowledge.len(),
+            self.coherence_times_s.len(),
+            self.physics.len(),
+            self.fabrics.len(),
+            self.workloads.len(),
+        ]
     }
 
-    /// Row-major decode of a cell index into per-axis indices, ordered
-    /// `[topology, mode, distillation, knowledge, coherence, physics,
-    /// fabric, workload]` (topology outermost). The single source of truth
-    /// for the expansion order — both the axis lookup and the environment
-    /// index derive from it.
+    /// Row-major decode of a cell index into per-axis indices, in
+    /// [`ScenarioGrid::axis_lens`] order.
     fn decode_cell(&self, cell: usize) -> [usize; 8] {
+        let lens = self.axis_lens();
+        let mut index = [0; 8];
         let mut rest = cell;
-        let w = rest % self.workloads.len();
-        rest /= self.workloads.len();
-        let f = rest % self.fabrics.len();
-        rest /= self.fabrics.len();
-        let p = rest % self.physics.len();
-        rest /= self.physics.len();
-        let c = rest % self.coherence_times_s.len();
-        rest /= self.coherence_times_s.len();
-        let k = rest % self.knowledge.len();
-        rest /= self.knowledge.len();
-        let d = rest % self.distillations.len();
-        rest /= self.distillations.len();
-        let m = rest % self.modes.len();
-        rest /= self.modes.len();
-        let t = rest;
-        assert!(t < self.topologies.len(), "cell index out of range");
-        [t, m, d, k, c, p, f, w]
+        for axis in (0..8).rev() {
+            index[axis] = rest % lens[axis];
+            rest /= lens[axis];
+        }
+        assert!(rest == 0, "cell index out of range");
+        index
     }
 
-    /// The *environment* index of a cell: its coordinates along the axes
-    /// that define the simulated world (topology, distillation, coherence,
-    /// physics, workload), excluding the protocol axes (mode, knowledge).
+    /// The *environment* index of a cell with per-axis indices `index`:
+    /// its row-major coordinates along the [`ENVIRONMENT_AXES`] only,
+    /// excluding the protocol axes (mode, knowledge).
     ///
     /// Scenario seeds derive from this index, so cells that differ only in
     /// protocol run on **identical graph instances, workloads and arrival
     /// randomness** — the oblivious-vs-planned ratio rows compare protocols
-    /// on the same worlds, matching how the serial figure pipeline pairs
-    /// seeds across modes.
-    fn environment_index(&self, cell: usize) -> u64 {
-        let [t, _m, d, _k, c, p, f, w] = self.decode_cell(cell);
-        (((((t * self.distillations.len() + d) * self.coherence_times_s.len() + c)
-            * self.physics.len()
-            + p)
-            * self.fabrics.len()
-            + f)
-            * self.workloads.len()
-            + w) as u64
+    /// on the same worlds.
+    fn environment_index(&self, index: [usize; 8]) -> u64 {
+        let lens = self.axis_lens();
+        (0..8)
+            .filter(|&axis| ENVIRONMENT_AXES[axis])
+            .fold(0, |env, axis| env * lens[axis] + index[axis]) as u64
     }
 
     /// The report key of cell `cell`.
     pub fn cell_key(&self, cell: usize) -> CellKey {
-        let (topology, mode, distillation, knowledge, coherence, physics, fabric, workload) =
-            self.cell_axes(cell);
+        let [t, m, d, k, c, p, f, w] = self.decode_cell(cell);
+        let (topology, physics, workload) =
+            (self.topologies[t], self.physics[p], self.workloads[w]);
         CellKey {
             cell,
             topology: topology.label(),
             nodes: topology.node_count(),
-            mode,
-            distillation,
-            knowledge,
+            mode: self.modes[m],
+            distillation: self.distillations[d],
+            knowledge: self.knowledge[k],
             consumer_pairs: workload.consumer_pairs,
             requests: workload.nominal_requests(),
             discipline: workload.selection,
-            coherence_time_s: coherence,
+            coherence_time_s: self.coherence_times_s[c],
             physics: (!physics.is_ideal()).then_some(physics),
             traffic: workload.is_open_loop().then_some(workload.traffic),
-            fabric,
+            fabric: self.fabrics[f],
         }
     }
 
@@ -552,28 +528,30 @@ impl ScenarioGrid {
         let replicates = self.replicates as usize;
         let cell = id / replicates;
         let replicate = (id % replicates) as u32;
-        let (topology, mode, distillation, knowledge, coherence, physics, fabric, mut workload) =
-            self.cell_axes(cell);
+        let index = self.decode_cell(cell);
+        let [t, m, d, k, c, p, f, w] = index;
+        let (topology, physics) = (self.topologies[t], self.physics[p]);
 
         let seed = derive_seed(
             self.master_seed,
-            self.environment_index(cell),
+            self.environment_index(index),
             replicate as u64,
         );
+        let mut workload = self.workloads[w];
         workload.node_count = topology.node_count();
 
         let mut network = NetworkConfig::new(topology)
             .with_topology_seed(seed)
             .with_generation_rate(self.generation_rate)
             .with_swap_scan_rate(self.swap_scan_rate)
-            .with_distillation(DistillationSpec::Uniform(distillation));
-        if let Some(t) = coherence {
+            .with_distillation(DistillationSpec::Uniform(self.distillations[d]));
+        if let Some(t) = self.coherence_times_s[c] {
             network.decoherence = DecoherenceModel::with_coherence_time(t);
         }
         if !physics.is_ideal() {
             network = network.with_physics(physics);
         }
-        if let Some(fabric) = fabric {
+        if let Some(fabric) = self.fabrics[f] {
             network = network.with_fabric(fabric);
         }
 
@@ -585,8 +563,8 @@ impl ScenarioGrid {
             config: ExperimentConfig {
                 network,
                 workload,
-                mode,
-                knowledge,
+                mode: self.modes[m],
+                knowledge: self.knowledge[k],
                 seed,
                 max_sim_time_s: self.max_sim_time_s,
             },
@@ -821,26 +799,129 @@ mod tests {
     #[test]
     fn descriptors_breaking_a_builder_rule_are_rejected() {
         let valid = serde_json::to_value(&small_grid()).unwrap();
+        let closed = |fields: &str| {
+            format!(
+                r#"[{{"node_count":0,"consumer_pairs":5,{fields},"discipline":"UniformRandom"}}]"#
+            )
+        };
+        let open = |rate: &str, horizon: &str| {
+            closed(&format!(
+                r#""traffic":{{"OpenLoopPoisson":{{"rate_hz":{rate},"horizon_s":{horizon}}}}}"#
+            ))
+        };
+        let decoherent = |f0: &str, t2: &str, cutoff: &str, floor: &str| {
+            format!(
+                r#"[{{"Decoherent":{{"initial_fidelity":{f0},"coherence_time_s":{t2},"cutoff_s":{cutoff},"fidelity_floor":{floor},"order":"OldestFirst"}}}}]"#
+            )
+        };
         for (key, bad, message) in [
             (
                 "distillations",
-                "[0.5]",
+                "[0.5]".to_string(),
                 "distillation overheads must be ≥ 1",
             ),
-            ("generation_rate", "0", "generation rate must be positive"),
-            ("swap_scan_rate", "0", "swap scan rate must be positive"),
+            (
+                "generation_rate",
+                "0".to_string(),
+                "generation rate must be positive",
+            ),
+            (
+                "swap_scan_rate",
+                "0".to_string(),
+                "swap scan rate must be positive",
+            ),
             (
                 "topologies",
-                r#"[{"Cycle":{"nodes":1}}]"#,
+                r#"[{"Cycle":{"nodes":1}}]"#.to_string(),
                 "fewer than 2 nodes",
+            ),
+            (
+                "topologies",
+                r#"[{"ErdosRenyiConnected":{"nodes":9,"edge_probability":2.0}}]"#.to_string(),
+                "needs a probability P in [0, 1]",
+            ),
+            (
+                "topologies",
+                r#"[{"WattsStrogatz":{"nodes":9,"neighbors":3,"rewire_probability":0.2}}]"#
+                    .to_string(),
+                "needs an even ring degree K",
+            ),
+            (
+                "topologies",
+                r#"[{"ScaleFree":{"nodes":5,"attach":10}}]"#.to_string(),
+                "needs an attachment M in",
+            ),
+            (
+                "knowledge",
+                r#"[{"Gossip":{"peers_per_refresh":0}}]"#.to_string(),
+                "gossip peer count must be at least 1",
+            ),
+            (
+                "knowledge",
+                r#"[{"Gossip":{"peers_per_refresh":2,"refresh_period_s":-1.0}}]"#.to_string(),
+                "gossip refresh period must be finite and ≥ 0",
+            ),
+            (
+                "coherence_times_s",
+                "[-3.0]".to_string(),
+                "coherence times must be positive",
+            ),
+            (
+                "physics",
+                decoherent("0.98", "-1.0", "null", "null"),
+                "coherence time must be positive and finite",
+            ),
+            (
+                "physics",
+                decoherent("0.98", "1.0", "null", "0.99"),
+                "fidelity floor must be in [0.25, 0.98)",
+            ),
+            (
+                "physics",
+                decoherent("5.0", "1.0", "null", "null"),
+                "initial fidelity must be in [0.25, 1]",
+            ),
+            (
+                "physics",
+                decoherent("0.98", "1.0", "-1.0", "null"),
+                "cutoff age must be positive",
+            ),
+            (
+                "workloads",
+                closed(r#""requests":0"#),
+                "a closed-loop batch needs at least one request",
+            ),
+            (
+                "workloads",
+                open("0.0", "10.0"),
+                "open-loop arrival rate must be positive",
+            ),
+            (
+                "workloads",
+                open("2.0", "-1.0"),
+                "open-loop arrival horizon must be positive",
+            ),
+            (
+                "workloads",
+                closed(r#""requests":6"#)
+                    .replace(r#""UniformRandom""#, r#"{"ZipfSkew":{"s":-1.0}}"#),
+                "Zipf exponent must be finite and ≥ 0",
+            ),
+            (
+                "workloads",
+                closed(r#""requests":6"#).replace(r#""consumer_pairs":5"#, r#""consumer_pairs":0"#),
+                "at least one consumer pair",
             ),
         ] {
             let mut descriptor = valid.clone();
             let Value::Map(entries) = &mut descriptor else {
                 unreachable!("grids serialize to objects")
             };
-            entries.iter_mut().find(|(k, _)| k == key).unwrap().1 =
-                serde_json::from_str(bad).unwrap();
+            let bad = serde_json::from_str(&bad).unwrap();
+            match entries.iter_mut().find(|(k, _)| k == key) {
+                Some(entry) => entry.1 = bad,
+                None => entries.push((key.to_string(), bad)),
+            }
             let text = serde_json::to_string(&descriptor).unwrap();
             let err = ScenarioGrid::from_json(&text).unwrap_err();
             assert!(err.contains(message), "{key}: {err}");
@@ -849,6 +930,79 @@ mod tests {
             ScenarioGrid::from_json(&serde_json::to_string(&valid).unwrap()).unwrap(),
             small_grid()
         );
+    }
+
+    #[test]
+    fn only_environment_axes_move_the_seeds() {
+        use qnet_topology::HardwarePreset;
+        let base = ScenarioGrid::new(7)
+            .with_workloads(vec![WorkloadSpec::closed_loop(0, 5, 6)])
+            .with_replicates(2);
+        let seeds = |g: &ScenarioGrid| g.scenarios().map(|s| s.seed).collect::<Vec<u64>>();
+        // Each grid gives one axis a second value; its first value is the
+        // base grid's, so cell 0 is the base cell.
+        for (axis, grid) in [
+            (
+                "topology",
+                base.clone().with_topologies(vec![
+                    Topology::Cycle { nodes: 9 },
+                    Topology::Cycle { nodes: 7 },
+                ]),
+            ),
+            (
+                "mode",
+                base.clone()
+                    .with_modes(vec![PolicyId::OBLIVIOUS, PolicyId::PLANNED]),
+            ),
+            (
+                "distillation",
+                base.clone().with_distillations(vec![1.0, 2.0]),
+            ),
+            (
+                "knowledge",
+                base.clone().with_knowledge(vec![
+                    KnowledgeModel::Global,
+                    KnowledgeModel::Gossip {
+                        peers_per_refresh: 2,
+                        refresh_period_s: 0.0,
+                    },
+                ]),
+            ),
+            (
+                "coherence-time",
+                base.clone().with_coherence_times(vec![None, Some(5.0)]),
+            ),
+            (
+                "physics",
+                base.clone()
+                    .with_physics(vec![PhysicsModel::Ideal, PhysicsModel::decoherent(1.0)]),
+            ),
+            (
+                "fabric",
+                base.clone()
+                    .with_fabrics(vec![None, Some(FabricSpec::new(HardwarePreset::Lab))]),
+            ),
+            (
+                "workload",
+                base.clone().with_workloads(vec![
+                    WorkloadSpec::closed_loop(0, 5, 6),
+                    WorkloadSpec::closed_loop(0, 5, 7),
+                ]),
+            ),
+        ] {
+            let position = AXIS_NAMES.iter().position(|name| *name == axis).unwrap();
+            assert_eq!(grid.axis_lens()[position], 2, "{axis} is axis {position}");
+            assert_eq!(grid.cell_count(), 2, "{axis}");
+            let all = seeds(&grid);
+            let (first, second) = all.split_at(2);
+            assert_eq!(
+                first,
+                seeds(&base),
+                "{axis}: the first value keeps the seeds"
+            );
+            let environment = !matches!(axis, "mode" | "knowledge");
+            assert_eq!(first != second, environment, "{axis}");
+        }
     }
 
     #[test]

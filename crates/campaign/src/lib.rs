@@ -123,8 +123,7 @@ pub use report::{
     CellReport, OverheadRatioRow,
 };
 pub use runner::{
-    run_campaign, run_campaign_cached, run_campaign_with_progress, run_scenarios_streaming,
-    run_scenarios_with_progress, CampaignResult, OutcomeSource, RunnerConfig, ScenarioEvent,
-    ScenarioOutcome,
+    run_campaign, run_campaign_cached, run_scenarios_streaming, CampaignResult, OutcomeSource,
+    RunnerConfig, ScenarioEvent, ScenarioOutcome,
 };
 pub use shard::{merge_shards, read_shard, shard_to_string, write_shard, ShardFile, ShardSpec};

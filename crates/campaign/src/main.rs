@@ -78,25 +78,20 @@ use std::process::ExitCode;
 
 #[derive(Debug)]
 struct Options {
-    topologies: Vec<Topology>,
-    modes: Vec<PolicyId>,
-    distillations: Vec<f64>,
-    knowledge: Vec<KnowledgeModel>,
-    physics: Vec<PhysicsModel>,
-    /// Link-fabric axis items, in first-mention order; empty means the
-    /// homogeneous default (`vec![None]` at grid build time).
-    fabrics: Vec<Option<FabricSpec>>,
+    /// The grid the grid-shaping flags describe, starting from the CLI
+    /// defaults. `build_grid` resolves its workload axis from `workloads`,
+    /// appends `fabric_topologies` and defaults an untouched (empty) fabric
+    /// axis to homogeneous links.
+    grid: ScenarioGrid,
     /// Topologies named via `TOPO@PRESET` fabric items; appended to the
     /// topology axis after the `--topologies` values.
     fabric_topologies: Vec<Topology>,
     pairs: usize,
     requests: usize,
-    /// Raw --workload specs; resolved against --requests and --horizon in
-    /// `build_grid` (open-loop arrival horizons default to the run horizon).
+    /// Raw --workload specs; resolved against --pairs, --requests and
+    /// --horizon in `build_grid` (open-loop arrival horizons default to the
+    /// run horizon).
     workloads: Vec<String>,
-    replicates: u32,
-    seed: u64,
-    horizon: f64,
     threads: usize,
     cache_dir: Option<String>,
     shard: Option<ShardSpec>,
@@ -119,27 +114,28 @@ struct Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
-            topologies: vec![
-                Topology::Cycle { nodes: 9 },
-                Topology::RandomConnectedGrid { side: 3 },
-                Topology::WattsStrogatz {
-                    nodes: 9,
-                    neighbors: 4,
-                    rewire_probability: 0.2,
-                },
-            ],
-            modes: vec![PolicyId::OBLIVIOUS, PolicyId::PLANNED, PolicyId::HYBRID],
-            distillations: vec![1.0, 2.0],
-            knowledge: vec![KnowledgeModel::Global],
-            physics: vec![PhysicsModel::Ideal],
-            fabrics: Vec::new(),
+            grid: ScenarioGrid {
+                topologies: vec![
+                    Topology::Cycle { nodes: 9 },
+                    Topology::RandomConnectedGrid { side: 3 },
+                    Topology::WattsStrogatz {
+                        nodes: 9,
+                        neighbors: 4,
+                        rewire_probability: 0.2,
+                    },
+                ],
+                modes: vec![PolicyId::OBLIVIOUS, PolicyId::PLANNED, PolicyId::HYBRID],
+                distillations: vec![1.0, 2.0],
+                // --fabric items accumulate in first-mention order.
+                fabrics: Vec::new(),
+                replicates: 6,
+                max_sim_time_s: 4_000.0,
+                ..ScenarioGrid::new(1)
+            },
             fabric_topologies: Vec::new(),
             pairs: 10,
             requests: 12,
             workloads: Vec::new(),
-            replicates: 6,
-            seed: 1,
-            horizon: 4_000.0,
             threads: 0,
             cache_dir: None,
             shard: None,
@@ -152,6 +148,39 @@ impl Default for Options {
             grid_flags_used: false,
         }
     }
+}
+
+/// The grid-shaping flags, each taking a value. They conflict with
+/// `--grid-file`, and they (with `--grid-file`) are exactly what
+/// `campaign orchestrate` forwards to the grid builder.
+const GRID_FLAGS: [&str; 13] = [
+    "--topologies",
+    "--modes",
+    "--dist",
+    "--gossip",
+    "--knowledge",
+    "--physics",
+    "--fabric",
+    "--pairs",
+    "--requests",
+    "--workload",
+    "--replicates",
+    "--seed",
+    "--horizon",
+];
+
+/// What a `--list-*` flag prints before exiting (`None` for any other
+/// argument).
+fn listing(flag: &str) -> Option<String> {
+    let text = match flag {
+        "--list-policies" => return Some(policy_listing()),
+        "--list-workloads" => WORKLOADS_HELP,
+        "--list-topologies" => TOPOLOGIES_HELP,
+        "--list-physics" => PHYSICS_HELP,
+        "--list-fabrics" => FABRICS_HELP,
+        _ => return None,
+    };
+    Some(text.to_string())
 }
 
 fn parse_topology(spec: &str) -> Result<Topology, String> {
@@ -170,42 +199,46 @@ fn parse_topology(spec: &str) -> Result<Topology, String> {
             .parse()
             .map_err(|_| format!("{spec}: bad float parameter"))
     };
-    match parts[0] {
-        "cycle" => Ok(Topology::Cycle { nodes: n(1)? }),
-        "path" => Ok(Topology::Path { nodes: n(1)? }),
-        "star" => Ok(Topology::Star { nodes: n(1)? }),
-        "complete" => Ok(Topology::Complete { nodes: n(1)? }),
-        "torus" => Ok(Topology::TorusGrid { side: n(1)? }),
-        "grid" => Ok(Topology::PlanarGrid { side: n(1)? }),
-        "rand-grid" => Ok(Topology::RandomConnectedGrid { side: n(1)? }),
-        "er" => Ok(Topology::ErdosRenyiConnected {
+    let topology = match parts[0] {
+        "cycle" => Topology::Cycle { nodes: n(1)? },
+        "path" => Topology::Path { nodes: n(1)? },
+        "star" => Topology::Star { nodes: n(1)? },
+        "complete" => Topology::Complete { nodes: n(1)? },
+        "torus" => Topology::TorusGrid { side: n(1)? },
+        "grid" => Topology::PlanarGrid { side: n(1)? },
+        "rand-grid" => Topology::RandomConnectedGrid { side: n(1)? },
+        "er" => Topology::ErdosRenyiConnected {
             nodes: n(1)?,
             edge_probability: f(2)?,
-        }),
-        "ws" => Ok(Topology::WattsStrogatz {
+        },
+        "ws" => Topology::WattsStrogatz {
             nodes: n(1)?,
             neighbors: n(2)?,
             rewire_probability: f(3)?,
-        }),
-        "tree" => Ok(Topology::RandomTree { nodes: n(1)? }),
-        "scale-free" => Ok(Topology::ScaleFree {
+        },
+        "tree" => Topology::RandomTree { nodes: n(1)? },
+        "scale-free" => Topology::ScaleFree {
             nodes: n(1)?,
             // Preferential attachment defaults to 2 edges per newcomer (the
             // classic internet-like Barabási–Albert setting).
             attach: if parts.len() > 2 { n(2)? } else { 2 },
-        }),
+        },
         "nyc-fiber" => {
             if parts.len() > 1 {
                 return Err(format!("{spec}: nyc-fiber takes no parameters"));
             }
-            Ok(Topology::DeployedFiber)
+            Topology::DeployedFiber
         }
-        other => Err(format!(
-            "unknown topology family '{other}' (valid: cycle, path, star, complete, \
-             torus, grid, rand-grid, er, ws, tree, scale-free, nyc-fiber; \
-             see --list-topologies)"
-        )),
-    }
+        other => {
+            return Err(format!(
+                "unknown topology family '{other}' (valid: cycle, path, star, complete, \
+                 torus, grid, rand-grid, er, ws, tree, scale-free, nyc-fiber; \
+                 see --list-topologies)"
+            ))
+        }
+    };
+    topology.check()?;
+    Ok(topology)
 }
 
 /// Parse one `--fabric` item: `none`, `PRESET`, or `TOPO@PRESET` (the
@@ -224,11 +257,13 @@ fn parse_fabric_item(item: &str) -> Result<(Option<FabricSpec>, Option<Topology>
     }
 }
 
-/// Parse one workload spec:
+/// Parse one workload spec over `pairs` consumer pairs:
 /// `closed[:REQUESTS]` or `open-loop:RATE_HZ[:HORIZON_S]`, optionally
 /// suffixed with a selection: `@uniform`, `@round-robin` or `@zipf:S`.
+/// The value rules are [`WorkloadSpec::check`]'s.
 fn parse_workload(
     spec: &str,
+    pairs: usize,
     default_requests: usize,
     default_horizon_s: f64,
 ) -> Result<WorkloadSpec, String> {
@@ -248,9 +283,6 @@ fn parse_workload(
             if parts.len() > 2 {
                 return Err(format!("{spec}: closed takes at most one parameter"));
             }
-            if requests < 1 {
-                return Err(format!("{spec}: closed needs at least one request"));
-            }
             TrafficModel::ClosedLoopBatch { requests }
         }
         "open-loop" => {
@@ -266,12 +298,6 @@ fn parse_workload(
             if parts.len() > 3 {
                 return Err(format!("{spec}: open-loop takes at most two parameters"));
             }
-            if rate_hz <= 0.0 || !rate_hz.is_finite() {
-                return Err(format!("{spec}: arrival rate must be positive"));
-            }
-            if horizon_s <= 0.0 || !horizon_s.is_finite() {
-                return Err(format!("{spec}: arrival horizon must be positive"));
-            }
             TrafficModel::OpenLoopPoisson { rate_hz, horizon_s }
         }
         other => Err(format!(
@@ -283,15 +309,10 @@ fn parse_workload(
         None | Some("uniform") => PairSelection::UniformRandom,
         Some("round-robin") => PairSelection::RoundRobin,
         Some(sel) => match sel.split_once(':') {
-            Some(("zipf", s)) => {
-                let s: f64 = s
-                    .parse()
-                    .map_err(|_| format!("{spec}: bad Zipf exponent"))?;
-                if s < 0.0 || !s.is_finite() {
-                    return Err(format!("{spec}: Zipf exponent must be ≥ 0"));
-                }
-                PairSelection::ZipfSkew { s }
-            }
+            Some(("zipf", s)) => PairSelection::ZipfSkew {
+                s: s.parse()
+                    .map_err(|_| format!("{spec}: bad Zipf exponent"))?,
+            },
             _ => {
                 return Err(format!(
                     "unknown selection '@{sel}' (valid: @uniform, @round-robin, \
@@ -300,18 +321,14 @@ fn parse_workload(
             }
         },
     };
-    Ok(WorkloadSpec {
-        node_count: 0,     // patched per topology at expansion time
-        consumer_pairs: 0, // patched from --pairs in build_grid
+    let workload = WorkloadSpec {
+        node_count: 0, // patched per topology at expansion time
+        consumer_pairs: pairs,
         traffic,
         selection,
-    })
-}
-
-fn parse_mode(spec: &str) -> Result<PolicyId, String> {
-    // Any name, alias or legacy label in the policy registry is accepted —
-    // `campaign --list-policies` prints them.
-    PolicyId::parse(spec)
+    };
+    workload.check().map_err(|e| format!("{spec}: {e}"))?;
+    Ok(workload)
 }
 
 fn parse_list<T, E: std::fmt::Display>(
@@ -339,62 +356,48 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         };
         // Grid-shaping flags conflict with --grid-file (a descriptor file
         // is authoritative; silently overriding part of it would be worse).
-        if matches!(
-            arg.as_str(),
-            "--topologies"
-                | "--modes"
-                | "--dist"
-                | "--gossip"
-                | "--knowledge"
-                | "--physics"
-                | "--fabric"
-                | "--pairs"
-                | "--requests"
-                | "--workload"
-                | "--replicates"
-                | "--seed"
-                | "--horizon"
-        ) {
+        if GRID_FLAGS.contains(&arg.as_str()) {
             opts.grid_flags_used = true;
         }
+        if listing(arg).is_some() {
+            return Err(arg[2..].to_string());
+        }
+        let grid = &mut opts.grid;
         match arg.as_str() {
             "--topologies" => {
-                opts.topologies =
+                grid.topologies =
                     parse_list("--topologies", value("--topologies")?, parse_topology)?
             }
-            "--modes" => opts.modes = parse_list("--modes", value("--modes")?, parse_mode)?,
+            "--modes" => grid.modes = parse_list("--modes", value("--modes")?, PolicyId::parse)?,
             "--dist" => {
-                opts.distillations = parse_list("--dist", value("--dist")?, |s| {
+                grid.distillations = parse_list("--dist", value("--dist")?, |s| {
                     s.parse::<f64>().map_err(|e| e.to_string())
                 })?
             }
             "--gossip" => {
-                let k: usize = value("--gossip")?
+                let peers_per_refresh = value("--gossip")?
                     .parse()
                     .map_err(|_| "--gossip needs an integer".to_string())?;
-                if k < 1 {
-                    return Err("--gossip must refresh at least one peer per scan".to_string());
-                }
-                opts.knowledge = vec![
+                grid.knowledge = vec![
                     KnowledgeModel::Global,
                     KnowledgeModel::Gossip {
-                        peers_per_refresh: k,
+                        peers_per_refresh,
                         refresh_period_s: 0.0,
                     },
                 ];
             }
             "--knowledge" => {
-                opts.knowledge =
+                grid.knowledge =
                     parse_list("--knowledge", value("--knowledge")?, KnowledgeModel::parse)?
             }
             "--physics" => {
-                opts.physics = parse_list("--physics", value("--physics")?, PhysicsModel::parse)?
+                grid.physics = parse_list("--physics", value("--physics")?, PhysicsModel::parse)?
             }
             "--fabric" => {
                 let items = parse_list("--fabric", value("--fabric")?, parse_fabric_item)?;
                 for (fabric, topology) in items {
-                    if !opts.fabrics.contains(&fabric) {
-                        opts.fabrics.push(fabric);
+                    if !grid.fabrics.contains(&fabric) {
+                        grid.fabrics.push(fabric);
                     }
                     if let Some(t) = topology {
                         if !opts.fabric_topologies.contains(&t) {
@@ -424,17 +427,17 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 }
             }
             "--replicates" => {
-                opts.replicates = value("--replicates")?
+                grid.replicates = value("--replicates")?
                     .parse()
                     .map_err(|_| "--replicates needs an integer".to_string())?
             }
             "--seed" => {
-                opts.seed = value("--seed")?
+                grid.master_seed = value("--seed")?
                     .parse()
                     .map_err(|_| "--seed needs an integer".to_string())?
             }
             "--horizon" => {
-                opts.horizon = value("--horizon")?
+                grid.max_sim_time_s = value("--horizon")?
                     .parse()
                     .map_err(|_| "--horizon needs a number".to_string())?
             }
@@ -455,11 +458,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         .map_err(|_| "--worker-abort-after needs an integer".to_string())?,
                 )
             }
-            "--list-policies" => return Err("list-policies".to_string()),
-            "--list-workloads" => return Err("list-workloads".to_string()),
-            "--list-topologies" => return Err("list-topologies".to_string()),
-            "--list-physics" => return Err("list-physics".to_string()),
-            "--list-fabrics" => return Err("list-fabrics".to_string()),
             "--compare-serial" => opts.compare_serial = true,
             "--dry-run" => opts.dry_run = true,
             "--help" | "-h" => return Err("help".to_string()),
@@ -468,12 +466,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     // Validate here so bad input exits with a message, not a panic from a
     // grid builder or a worker thread.
-    if opts.pairs < 1 || opts.requests < 1 {
-        return Err("--pairs and --requests must be at least 1".to_string());
-    }
-    for w in &opts.workloads {
-        parse_workload(w, opts.requests, opts.horizon)?;
-    }
     if opts.grid_file.is_none() {
         build_grid(&opts)?;
     }
@@ -494,57 +486,41 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Load a grid descriptor written by `campaign orchestrate` (or any
-/// serialized [`ScenarioGrid`]) — how orchestrated workers receive their
-/// grid without re-serializing it through CLI flags.
-fn load_grid_file(path: &str) -> Result<ScenarioGrid, String> {
+/// The grid a run executes: the `--grid-file` descriptor (how orchestrated
+/// workers receive their grid without re-serializing it through CLI flags)
+/// or else the grid the grid-shaping flags describe.
+fn resolve_grid(opts: &Options) -> Result<ScenarioGrid, String> {
+    let Some(path) = &opts.grid_file else {
+        return build_grid(opts);
+    };
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read grid file {path}: {e}"))?;
     ScenarioGrid::from_json(&text).map_err(|e| format!("grid file {path}: {e}"))
 }
 
 /// The grid the grid-shaping flags describe, checked with
-/// [`ScenarioGrid::check`]. Workload specs must already have parsed
-/// (`parse_args` validates them first).
+/// [`ScenarioGrid::check`].
 fn build_grid(opts: &Options) -> Result<ScenarioGrid, String> {
-    let workloads: Vec<WorkloadSpec> = if opts.workloads.is_empty() {
+    let mut grid = opts.grid.clone();
+    grid.workloads = if opts.workloads.is_empty() {
         // The pre-traffic-model default: one closed-loop uniform cell.
         vec![WorkloadSpec::closed_loop(0, opts.pairs, opts.requests)]
     } else {
         opts.workloads
             .iter()
-            .map(|w| {
-                parse_workload(w, opts.requests, opts.horizon)
-                    .expect("validated in parse_args")
-                    .with_consumer_pairs(opts.pairs)
-            })
-            .collect()
+            .map(|w| parse_workload(w, opts.pairs, opts.requests, grid.max_sim_time_s))
+            .collect::<Result<_, _>>()?
     };
     // Topologies named by `TOPO@PRESET` fabric items join the axis after
     // the explicit `--topologies` values (first mention wins on duplicates).
-    let mut topologies = opts.topologies.clone();
     for t in &opts.fabric_topologies {
-        if !topologies.contains(t) {
-            topologies.push(*t);
+        if !grid.topologies.contains(t) {
+            grid.topologies.push(*t);
         }
     }
-    let fabrics = if opts.fabrics.is_empty() {
-        vec![None]
-    } else {
-        opts.fabrics.clone()
-    };
-    let grid = ScenarioGrid {
-        topologies,
-        modes: opts.modes.clone(),
-        distillations: opts.distillations.clone(),
-        knowledge: opts.knowledge.clone(),
-        physics: opts.physics.clone(),
-        fabrics,
-        workloads,
-        replicates: opts.replicates,
-        max_sim_time_s: opts.horizon,
-        ..ScenarioGrid::new(opts.seed)
-    };
+    if grid.fabrics.is_empty() {
+        grid.fabrics = vec![None];
+    }
     grid.check()?;
     Ok(grid)
 }
@@ -699,9 +675,9 @@ fn write_output_exit(text: &str, out: Option<&str>, who: &str) -> ExitCode {
 }
 
 /// `campaign orchestrate`: spawn and supervise worker subprocesses over a
-/// shared run directory. Grid-shaping flags pass through to the same parser
-/// as a plain run; a `--resume` takes no grid flags (the run directory is
-/// authoritative).
+/// shared run directory. The [`GRID_FLAGS`] and `--grid-file` pass through
+/// to the same parser as a plain run, and any other flag is an error; a
+/// `--resume` takes no grid flags (the run directory is authoritative).
 fn run_orchestrate(args: &[String]) -> ExitCode {
     let mut workers: Option<usize> = None;
     let mut run_dir: Option<String> = None;
@@ -743,14 +719,10 @@ fn run_orchestrate(args: &[String]) -> ExitCode {
                 Ok(())
             }
             "--help" | "-h" => Err("help".to_string()),
-            other => {
-                // Anything else is a grid-shaping flag for parse_args.
-                grid_args.push(other.to_string());
-                if let Some(v) = it.next() {
-                    grid_args.push(v.clone());
-                }
-                Ok(())
+            flag if flag == "--grid-file" || GRID_FLAGS.contains(&flag) => {
+                take(&mut it, flag).map(|v| grid_args.extend([flag.to_string(), v]))
             }
+            other => Err(format!("unknown argument '{other}' (try --help)")),
         };
         if let Err(msg) = parsed {
             if msg == "help" {
@@ -822,24 +794,13 @@ fn run_orchestrate(args: &[String]) -> ExitCode {
             eprintln!("campaign orchestrate: --workers N is required for a fresh run (try --help)");
             return ExitCode::FAILURE;
         }
-        let opts = match parse_args(&grid_args) {
-            Ok(o) => o,
+        match parse_args(&grid_args).and_then(|opts| resolve_grid(&opts)) {
+            Ok(grid) => orchestrate(&grid, &config),
             Err(msg) => {
                 eprintln!("campaign orchestrate: {msg}");
                 return ExitCode::FAILURE;
             }
-        };
-        let grid = match &opts.grid_file {
-            Some(path) => match load_grid_file(path) {
-                Ok(grid) => grid,
-                Err(e) => {
-                    eprintln!("campaign orchestrate: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => build_grid(&opts).expect("validated in parse_args"),
-        };
-        orchestrate(&grid, &config)
+        }
     };
     match outcome {
         Ok(report) => {
@@ -885,24 +846,8 @@ fn main() -> ExitCode {
                 eprint!("{}", USAGE);
                 return ExitCode::SUCCESS;
             }
-            if msg == "list-policies" {
-                print!("{}", policy_listing());
-                return ExitCode::SUCCESS;
-            }
-            if msg == "list-workloads" {
-                print!("{}", WORKLOADS_HELP);
-                return ExitCode::SUCCESS;
-            }
-            if msg == "list-topologies" {
-                print!("{}", TOPOLOGIES_HELP);
-                return ExitCode::SUCCESS;
-            }
-            if msg == "list-physics" {
-                print!("{}", PHYSICS_HELP);
-                return ExitCode::SUCCESS;
-            }
-            if msg == "list-fabrics" {
-                print!("{}", FABRICS_HELP);
+            if let Some(text) = listing(&format!("--{msg}")) {
+                print!("{text}");
                 return ExitCode::SUCCESS;
             }
             eprintln!("campaign: {msg}");
@@ -910,15 +855,12 @@ fn main() -> ExitCode {
         }
     };
 
-    let grid = match &opts.grid_file {
-        Some(path) => match load_grid_file(path) {
-            Ok(grid) => grid,
-            Err(e) => {
-                eprintln!("campaign: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => build_grid(&opts).expect("validated in parse_args"),
+    let grid = match resolve_grid(&opts) {
+        Ok(grid) => grid,
+        Err(e) => {
+            eprintln!("campaign: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     eprintln!(
         "campaign: {} cells × {} replicates = {} scenarios ({} topologies × {} modes × {} D × {} knowledge × {} physics × {} fabrics × {} workloads)",
@@ -1255,10 +1197,13 @@ OPTIONS:
                          after N simulated scenarios
   --quiet                suppress the human progress line on stderr
 
-Any other flag is passed through to the grid builder (--topologies,
---modes, --seed, … — see campaign --help). Progress: a human line on
-stderr (done/total, cache hits, per-worker state, ETA); machine-readable
-seq-numbered events in RUN_DIR/events.jsonl (no wall-clock timestamps).
+GRID FLAGS are the grid-shaping flags of a plain run (--topologies,
+--modes, --dist, --gossip, --knowledge, --physics, --fabric, --pairs,
+--requests, --workload, --replicates, --seed, --horizon) and --grid-file;
+they pass through to the grid builder (see campaign --help). Any other
+flag is rejected. Progress: a human line on stderr (done/total, cache
+hits, per-worker state, ETA); machine-readable seq-numbered events in
+RUN_DIR/events.jsonl (no wall-clock timestamps).
 
 A failed run exits nonzero and leaves the run directory resumable; resume
 is byte-identical to an uninterrupted run.
@@ -1579,5 +1524,80 @@ mod tests {
         );
         assert!(parse_topology("nyc-fiber:3").is_err());
         assert!(parse_topology("scale-free").is_err());
+    }
+
+    /// Grammar heads, parameters and selection suffixes that steer
+    /// arbitrary specs into the parsers' accepting branches rather than
+    /// straight into an unknown-name error. Each case tries every head with
+    /// every first parameter.
+    const HEADS: [&str; 16] = [
+        "cycle",
+        "torus",
+        "er",
+        "ws",
+        "scale-free",
+        "nyc-fiber",
+        "closed",
+        "open-loop",
+        "global",
+        "gossip",
+        "ideal",
+        "decoherent",
+        "lab",
+        "metro-fiber",
+        "oblivious",
+        "planned",
+    ];
+    const PARAMS: [&str; 16] = [
+        "0", "1", "2", "3", "9", "10", "0.2", "0.5", "0.99", "-1", "2.0", "1e400", "inf", "NaN",
+        "x", "",
+    ];
+    const SUFFIXES: [&str; 7] = [
+        "",
+        "@uniform",
+        "@round-robin",
+        "@zipf:1.1",
+        "@zipf:-1",
+        "@zipf:NaN",
+        "@hot",
+    ];
+
+    proptest::proptest! {
+        /// Every spec parser returns `Ok` or `Err` on arbitrary input,
+        /// never panics, and every value it accepts passes its type's
+        /// `check`.
+        #[test]
+        fn spec_parsers_never_panic_and_accept_only_checked_values(
+            params in proptest::collection::vec(0usize..PARAMS.len(), 0..4),
+            suffix in 0usize..SUFFIXES.len(),
+            raw in "[ -~]{0,16}",
+        ) {
+            let tail: String = params.iter().map(|&p| format!(":{}", PARAMS[p])).collect();
+            let shard = format!("{}/{}", PARAMS[params.first().copied().unwrap_or(0)], PARAMS[suffix]);
+            let mut specs = vec![shard, raw];
+            for head in HEADS {
+                specs.push(format!("{head}{tail}{}", SUFFIXES[suffix]));
+                for first in PARAMS {
+                    specs.push(format!("{head}:{first}{tail}{}", SUFFIXES[suffix]));
+                }
+            }
+            for spec in specs {
+                if let Ok(topology) = parse_topology(&spec) {
+                    proptest::prop_assert_eq!(topology.check(), Ok(()), "{}", spec);
+                }
+                if let Ok(workload) = parse_workload(&spec, 10, 12, 4_000.0) {
+                    proptest::prop_assert_eq!(workload.check(), Ok(()), "{}", spec);
+                }
+                if let Ok(knowledge) = KnowledgeModel::parse(&spec) {
+                    proptest::prop_assert_eq!(knowledge.check(), Ok(()), "{}", spec);
+                }
+                if let Ok(physics) = PhysicsModel::parse(&spec) {
+                    proptest::prop_assert_eq!(physics.check(), Ok(()), "{}", spec);
+                }
+                let _ = FabricSpec::parse(&spec);
+                let _ = PolicyId::parse(&spec);
+                let _ = ShardSpec::parse(&spec);
+            }
+        }
     }
 }

@@ -267,40 +267,28 @@ fn aggregate_cell(key: CellKey, outcomes: &[ScenarioOutcome]) -> CellReport {
     }
 }
 
-/// True for the oblivious policy family (ratio numerators).
-fn is_oblivious_family(mode: PolicyId) -> bool {
-    mode.family() == PolicyFamily::Oblivious
-}
-
-/// True for the planned-path family (ratio denominators).
-fn is_planned_family(mode: PolicyId) -> bool {
-    mode.family() == PolicyFamily::Planned
-}
-
-/// Pair each oblivious-family cell with every planned-family cell that
-/// matches it on all non-mode axes, and compute the overhead ratio.
+/// Pair each oblivious-family cell with every planned-family cell whose
+/// key equals it apart from `cell` and `mode`, and compute the overhead
+/// ratio. Every other key field — including any added later — is part of
+/// the pairing.
 pub fn overhead_ratios(cell_reports: &[CellReport]) -> Vec<OverheadRatioRow> {
     let mut rows = Vec::new();
     for num in cell_reports {
-        if !is_oblivious_family(num.key.mode) {
+        if num.key.mode.family() != PolicyFamily::Oblivious {
             continue;
         }
         let Some(num_overhead) = num.overhead_mean else {
             continue;
         };
         for den in cell_reports {
-            if !is_planned_family(den.key.mode) {
+            if den.key.mode.family() != PolicyFamily::Planned {
                 continue;
             }
-            let same_axes = num.key.topology == den.key.topology
-                && num.key.distillation == den.key.distillation
-                && num.key.knowledge == den.key.knowledge
-                && num.key.consumer_pairs == den.key.consumer_pairs
-                && num.key.requests == den.key.requests
-                && num.key.discipline == den.key.discipline
-                && num.key.coherence_time_s == den.key.coherence_time_s
-                && num.key.physics == den.key.physics
-                && num.key.traffic == den.key.traffic;
+            let same_axes = CellKey {
+                cell: num.key.cell,
+                mode: num.key.mode,
+                ..den.key.clone()
+            } == num.key;
             if !same_axes {
                 continue;
             }
@@ -680,38 +668,110 @@ mod tests {
     }
 
     #[test]
-    fn ratios_do_not_pair_across_physics_models() {
+    fn ratios_pair_only_keys_equal_apart_from_cell_and_mode() {
         use qnet_core::physics::PhysicsModel;
-        let oblivious = aggregate_cell(
-            key(0, PolicyId::OBLIVIOUS, 1.0),
-            &[outcome(0, 0, 0, Some(6.0))],
-        );
-        let mut decoherent_planned_key = key(1, PolicyId::PLANNED, 1.0);
-        decoherent_planned_key.physics = Some(PhysicsModel::decoherent(1.0));
-        let planned = aggregate_cell(decoherent_planned_key, &[outcome(1, 1, 0, Some(2.0))]);
-        assert!(
-            overhead_ratios(&[oblivious, planned]).is_empty(),
-            "ideal numerator must not pair with a decoherent denominator"
-        );
-    }
-
-    #[test]
-    fn ratios_do_not_pair_across_traffic_models() {
         use qnet_core::workload::TrafficModel;
+        use qnet_topology::{FabricSpec, HardwarePreset};
         let oblivious = aggregate_cell(
             key(0, PolicyId::OBLIVIOUS, 1.0),
             &[outcome(0, 0, 0, Some(6.0))],
         );
-        let mut open_planned_key = key(1, PolicyId::PLANNED, 1.0);
-        open_planned_key.traffic = Some(TrafficModel::OpenLoopPoisson {
-            rate_hz: 1.0,
-            horizon_s: 6.0,
-        });
-        let planned = aggregate_cell(open_planned_key, &[outcome(1, 1, 0, Some(2.0))]);
-        assert!(
-            overhead_ratios(&[oblivious, planned]).is_empty(),
-            "closed-loop numerator must not pair with an open-loop denominator"
-        );
+        let planned = |key| aggregate_cell(key, &[outcome(1, 1, 0, Some(2.0))]);
+        let base = key(1, PolicyId::PLANNED, 1.0);
+        // One row per non-mode key field: a planned twin that differs from
+        // the oblivious cell in that field alone must not pair with it.
+        for (field, den_key) in [
+            (
+                "topology",
+                CellKey {
+                    topology: "torus-3x3".into(),
+                    ..base.clone()
+                },
+            ),
+            (
+                "nodes",
+                CellKey {
+                    nodes: 9,
+                    ..base.clone()
+                },
+            ),
+            (
+                "distillation",
+                CellKey {
+                    distillation: 2.0,
+                    ..base.clone()
+                },
+            ),
+            (
+                "knowledge",
+                CellKey {
+                    knowledge: KnowledgeModel::Gossip {
+                        peers_per_refresh: 2,
+                        refresh_period_s: 0.0,
+                    },
+                    ..base.clone()
+                },
+            ),
+            (
+                "consumer_pairs",
+                CellKey {
+                    consumer_pairs: 4,
+                    ..base.clone()
+                },
+            ),
+            (
+                "requests",
+                CellKey {
+                    requests: 7,
+                    ..base.clone()
+                },
+            ),
+            (
+                "discipline",
+                CellKey {
+                    discipline: PairSelection::RoundRobin,
+                    ..base.clone()
+                },
+            ),
+            (
+                "coherence_time_s",
+                CellKey {
+                    coherence_time_s: Some(5.0),
+                    ..base.clone()
+                },
+            ),
+            (
+                "physics",
+                CellKey {
+                    physics: Some(PhysicsModel::decoherent(1.0)),
+                    ..base.clone()
+                },
+            ),
+            (
+                "traffic",
+                CellKey {
+                    traffic: Some(TrafficModel::OpenLoopPoisson {
+                        rate_hz: 1.0,
+                        horizon_s: 6.0,
+                    }),
+                    ..base.clone()
+                },
+            ),
+            (
+                "fabric",
+                CellKey {
+                    fabric: Some(FabricSpec::new(HardwarePreset::Lab)),
+                    ..base.clone()
+                },
+            ),
+        ] {
+            assert!(
+                overhead_ratios(&[oblivious.clone(), planned(den_key)]).is_empty(),
+                "cells differing in {field} must not pair"
+            );
+        }
+        // The twin equal apart from cell and mode pairs.
+        assert_eq!(overhead_ratios(&[oblivious, planned(base)]).len(), 1);
     }
 
     #[test]

@@ -466,54 +466,29 @@ pub fn run_scenarios_streaming(
     })
 }
 
-/// [`run_scenarios_streaming`] with a counting callback: `on_progress(done,
-/// total)` fires once per requested scenario, cache hits included.
-pub fn run_scenarios_with_progress(
-    grid: &ScenarioGrid,
-    config: &RunnerConfig,
-    ids: &[usize],
-    cache: Option<&mut OutcomeCache>,
-    mut on_progress: impl FnMut(usize, usize),
-) -> io::Result<CampaignResult> {
-    let total = ids.len();
-    let mut done = 0usize;
-    run_scenarios_streaming(grid, config, ids, cache, |_| {
-        done += 1;
-        on_progress(done, total);
-    })
-}
-
 /// Execute every scenario of `grid` and return outcomes in id order.
-///
-/// Progress callback: `on_progress(done, total)` is invoked from the
-/// collector as outcomes arrive (pass `|_, _| {}` to ignore).
-pub fn run_campaign_with_progress(
-    grid: &ScenarioGrid,
-    config: &RunnerConfig,
-    on_progress: impl FnMut(usize, usize),
-) -> CampaignResult {
-    let ids: Vec<usize> = (0..grid.scenario_count()).collect();
-    run_scenarios_with_progress(grid, config, &ids, None, on_progress)
-        .expect("cacheless runs perform no I/O")
-}
-
-/// [`run_campaign_with_progress`] without a progress callback.
 pub fn run_campaign(grid: &ScenarioGrid, config: &RunnerConfig) -> CampaignResult {
-    run_campaign_with_progress(grid, config, |_, _| {})
+    let ids: Vec<usize> = (0..grid.scenario_count()).collect();
+    run_scenarios_streaming(grid, config, &ids, None, |_| {})
+        .expect("cacheless runs perform no I/O")
 }
 
 /// Run the full grid through an outcome cache: scenarios already cached are
 /// served without simulating, fresh outcomes are appended to the cache, and
 /// the aggregate report is byte-identical to an uncached run. A fully warm
 /// cache makes this a zero-simulation replay (`simulated == 0`).
+///
+/// `on_progress(done, total)` fires once per scenario, cache hits included.
 pub fn run_campaign_cached(
     grid: &ScenarioGrid,
     config: &RunnerConfig,
     cache: &mut OutcomeCache,
-    on_progress: impl FnMut(usize, usize),
+    mut on_progress: impl FnMut(usize, usize),
 ) -> io::Result<CampaignResult> {
     let ids: Vec<usize> = (0..grid.scenario_count()).collect();
-    run_scenarios_with_progress(grid, config, &ids, Some(cache), on_progress)
+    run_scenarios_streaming(grid, config, &ids, Some(cache), |event| {
+        on_progress(event.seq as usize + 1, ids.len())
+    })
 }
 
 #[cfg(test)]
@@ -556,13 +531,15 @@ mod tests {
     #[test]
     fn progress_reaches_total() {
         let grid = tiny_grid(1);
-        let mut last = 0;
+        let ids: Vec<usize> = (0..grid.scenario_count()).collect();
+        let mut done = 0;
         let result =
-            run_campaign_with_progress(&grid, &RunnerConfig::with_threads(2), |done, total| {
-                assert!(done <= total);
-                last = done;
-            });
-        assert_eq!(last, grid.scenario_count());
+            run_scenarios_streaming(&grid, &RunnerConfig::with_threads(2), &ids, None, |_| {
+                done += 1;
+                assert!(done <= ids.len());
+            })
+            .unwrap();
+        assert_eq!(done, grid.scenario_count());
         assert_eq!(result.outcomes.len(), grid.scenario_count());
     }
 
@@ -616,8 +593,7 @@ mod tests {
         assert_eq!(full.cache_hits, 0);
         let ids = [1usize, 2, 5];
         let subset =
-            run_scenarios_with_progress(&grid, &RunnerConfig::serial(), &ids, None, |_, _| {})
-                .unwrap();
+            run_scenarios_streaming(&grid, &RunnerConfig::serial(), &ids, None, |_| {}).unwrap();
         assert_eq!(subset.outcomes.len(), 3);
         for (pos, &id) in ids.iter().enumerate() {
             assert_eq!(subset.outcomes[pos], full.outcomes[id]);
@@ -628,8 +604,7 @@ mod tests {
     #[should_panic]
     fn unsorted_id_sets_are_rejected() {
         let grid = tiny_grid(1);
-        let _ =
-            run_scenarios_with_progress(&grid, &RunnerConfig::serial(), &[2, 1], None, |_, _| {});
+        let _ = run_scenarios_streaming(&grid, &RunnerConfig::serial(), &[2, 1], None, |_| {});
     }
 
     #[test]
@@ -670,12 +645,12 @@ mod tests {
         let half: Vec<usize> = (0..grid.scenario_count())
             .filter(|id| id % 2 == 0)
             .collect();
-        let half_run = run_scenarios_with_progress(
+        let half_run = run_scenarios_streaming(
             &grid,
             &RunnerConfig::serial(),
             &half,
             Some(&mut partial),
-            |_, _| {},
+            |_| {},
         )
         .unwrap();
         assert_eq!(half_run.simulated, 0);

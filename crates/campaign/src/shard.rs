@@ -317,7 +317,7 @@ pub fn merge_shards(shards: Vec<ShardFile>) -> Result<(ScenarioGrid, CampaignRes
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_campaign, run_scenarios_with_progress, RunnerConfig};
+    use crate::runner::{run_campaign, run_scenarios_streaming, RunnerConfig};
     use proptest::prelude::*;
     use qnet_core::policy::PolicyId;
     use qnet_core::workload::WorkloadSpec;
@@ -335,7 +335,7 @@ mod tests {
 
     fn run_shard_outcomes(grid: &ScenarioGrid, spec: ShardSpec) -> Vec<ScenarioOutcome> {
         let ids = spec.ids(grid.scenario_count());
-        run_scenarios_with_progress(grid, &RunnerConfig::serial(), &ids, None, |_, _| {})
+        run_scenarios_streaming(grid, &RunnerConfig::serial(), &ids, None, |_| {})
             .unwrap()
             .outcomes
     }
@@ -410,12 +410,12 @@ mod tests {
         let mut other = tiny_grid();
         other.master_seed += 1;
         let other_spec = ShardSpec::new(1, 2).unwrap();
-        let other_outcomes = run_scenarios_with_progress(
+        let other_outcomes = run_scenarios_streaming(
             &other,
             &RunnerConfig::serial(),
             &other_spec.ids(other.scenario_count()),
             None,
-            |_, _| {},
+            |_| {},
         )
         .unwrap()
         .outcomes;

@@ -159,21 +159,35 @@ fn gossip_grid_is_deterministic_cold_warm_and_sharded() {
     fs::remove_dir_all(&base).ok();
 }
 
-/// A grid descriptor whose only fault is a distillation overhead below 1.
-const BAD_GRID_DESCRIPTOR: &str = r#"{"topologies":[{"Cycle":{"nodes":9}}],"modes":["Oblivious"],"distillations":[0.5],"knowledge":["Global"],"coherence_times_s":[null],"workloads":[{"node_count":9,"consumer_pairs":35,"requests":35,"discipline":"UniformRandom"}],"replicates":1,"master_seed":1,"max_sim_time_s":20000.0,"generation_rate":1.0,"swap_scan_rate":4.0}"#;
+/// Grid descriptors that each break one rule: a distillation overhead
+/// below 1, a gossip model that refreshes no peer, and an open-loop
+/// workload arriving at rate 0. The last two used to pass the grid check
+/// and then panic a worker thread.
+const BAD_GRID_DESCRIPTORS: [&str; 3] = [
+    r#"{"topologies":[{"Cycle":{"nodes":9}}],"modes":["Oblivious"],"distillations":[0.5],"knowledge":["Global"],"coherence_times_s":[null],"workloads":[{"node_count":9,"consumer_pairs":35,"requests":35,"discipline":"UniformRandom"}],"replicates":1,"master_seed":1,"max_sim_time_s":20000.0,"generation_rate":1.0,"swap_scan_rate":4.0}"#,
+    r#"{"topologies":[{"Cycle":{"nodes":9}}],"modes":["Oblivious"],"distillations":[1.0],"knowledge":["Global",{"Gossip":{"peers_per_refresh":0}}],"coherence_times_s":[null],"workloads":[{"node_count":9,"consumer_pairs":35,"requests":35,"discipline":"UniformRandom"}],"replicates":1,"master_seed":1,"max_sim_time_s":20000.0,"generation_rate":1.0,"swap_scan_rate":4.0}"#,
+    r#"{"topologies":[{"Cycle":{"nodes":9}}],"modes":["Oblivious"],"distillations":[1.0],"knowledge":["Global"],"coherence_times_s":[null],"workloads":[{"node_count":9,"consumer_pairs":35,"traffic":{"OpenLoopPoisson":{"rate_hz":0.0,"horizon_s":100.0}},"discipline":"UniformRandom"}],"replicates":1,"master_seed":1,"max_sim_time_s":20000.0,"generation_rate":1.0,"swap_scan_rate":4.0}"#,
+];
 
 #[test]
 fn bad_input_exits_1_with_a_message_never_101() {
     let base = std::env::temp_dir().join(format!("qnet-bad-input-{}", std::process::id()));
     fs::create_dir_all(&base).unwrap();
-    let descriptor = base.join("bad-grid.json");
-    fs::write(&descriptor, BAD_GRID_DESCRIPTOR).unwrap();
-    let descriptor = descriptor.to_str().unwrap();
-    for args in [
+    let descriptors: Vec<String> = BAD_GRID_DESCRIPTORS
+        .iter()
+        .enumerate()
+        .map(|(i, text)| {
+            let path = base.join(format!("bad-grid-{i}.json"));
+            fs::write(&path, text).unwrap();
+            path.to_str().unwrap().to_string()
+        })
+        .collect();
+    let mut inputs = vec![
         vec!["--dist", "NaN", "--dry-run"],
         vec!["--horizon", "NaN", "--dry-run"],
-        vec!["--grid-file", descriptor],
-    ] {
+    ];
+    inputs.extend(descriptors.iter().map(|d| vec!["--grid-file", d.as_str()]));
+    for args in inputs {
         let output = Command::new(campaign_bin())
             .args(&args)
             .output()

@@ -217,6 +217,45 @@ fn killed_run_resumes_byte_identical() {
 }
 
 #[test]
+fn orchestrate_rejects_flags_it_does_not_forward() {
+    // Only grid flags and --grid-file reach the grid builder; a run flag
+    // such as --dry-run used to be dropped (swallowing the argument after
+    // it) while the full sweep ran anyway.
+    let dir = temp_dir("unknown-flag");
+    let run_dir = dir.join("run");
+    for extra in [
+        &["--dry-run"][..],
+        &["--threads", "2"],
+        &["--compare-serial"],
+    ] {
+        let mut args = vec![
+            "orchestrate",
+            "--workers",
+            "1",
+            "--run-dir",
+            run_dir.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        args.extend_from_slice(GRID_FLAGS);
+        let out = run(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!(
+                "campaign orchestrate: unknown argument '{}' (try --help)",
+                extra[0]
+            )),
+            "{extra:?}: {stderr}"
+        );
+        assert!(
+            !run_dir.exists(),
+            "{extra:?} must not create a run directory"
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn merge_directory_without_full_coverage_fails_clearly() {
     let dir = temp_dir("coverage");
 

@@ -116,7 +116,7 @@ impl KnowledgeModel {
     /// Parse the campaign/CLI knowledge grammar: `global`, `gossip:K`, or
     /// `gossip:K:PERIOD` (peers per refresh `K`, refresh period in
     /// seconds; omitted period couples exchanges to the swap-scan
-    /// cadence).
+    /// cadence). The value rules are [`KnowledgeModel::check`]'s.
     pub fn parse(spec: &str) -> Result<KnowledgeModel, String> {
         let spec = spec.trim();
         if spec.eq_ignore_ascii_case("global") {
@@ -132,25 +132,37 @@ impl KnowledgeModel {
         let peers_per_refresh: usize = peers_part
             .parse()
             .map_err(|_| format!("invalid gossip peer count '{peers_part}'"))?;
-        if peers_per_refresh == 0 {
-            return Err("gossip peer count must be at least 1".to_string());
-        }
         let refresh_period_s = match period_part {
             None => 0.0,
-            Some(t) => {
-                let period: f64 = t
-                    .parse()
-                    .map_err(|_| format!("invalid gossip refresh period '{t}'"))?;
-                if period.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                    return Err("gossip refresh period must be positive".to_string());
-                }
-                period
-            }
+            Some(t) => t
+                .parse()
+                .map_err(|_| format!("invalid gossip refresh period '{t}'"))?,
         };
-        Ok(KnowledgeModel::Gossip {
+        let model = KnowledgeModel::Gossip {
             peers_per_refresh,
             refresh_period_s,
-        })
+        };
+        model.check()?;
+        Ok(model)
+    }
+
+    /// The value rules every runnable model satisfies: gossip refreshes at
+    /// least one peer per exchange, and its period is finite and `≥ 0`
+    /// (`0` couples exchanges to the swap-scan cadence). NaN fails.
+    pub fn check(&self) -> Result<(), String> {
+        match *self {
+            KnowledgeModel::Gossip {
+                peers_per_refresh: 0,
+                ..
+            } => Err("gossip peer count must be at least 1".to_string()),
+            KnowledgeModel::Gossip {
+                refresh_period_s: t,
+                ..
+            } if !(t >= 0.0 && t.is_finite()) => Err(format!(
+                "gossip refresh period must be finite and ≥ 0 (got {t})"
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// The canonical grammar label for this model (inverse of

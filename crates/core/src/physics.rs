@@ -243,36 +243,65 @@ impl PhysicsModel {
                     .ok_or_else(|| format!("{spec}: decoherent needs a coherence time"))?
                     .parse()
                     .map_err(|_| format!("{spec}: bad coherence time"))?;
-                if !(t2 > 0.0 && t2.is_finite()) {
-                    return Err(format!(
-                        "{spec}: coherence time must be positive and finite"
-                    ));
-                }
                 if parts.len() > 3 {
                     return Err(format!("{spec}: decoherent takes at most two parameters"));
                 }
-                let mut model = PhysicsModel::decoherent(t2);
-                if let Some(floor_s) = parts.get(2) {
-                    let floor: f64 = floor_s
-                        .parse()
-                        .map_err(|_| format!("{spec}: bad fidelity floor"))?;
-                    if !(0.25..1.0).contains(&floor) {
-                        return Err(format!("{spec}: fidelity floor must be in [0.25, 1)"));
-                    }
-                    if floor >= model.initial_fidelity() {
-                        return Err(format!(
-                            "{spec}: fidelity floor must be below the initial fidelity {}",
-                            model.initial_fidelity()
-                        ));
-                    }
-                    model = model.with_fidelity_floor(floor);
-                }
-                Ok(model)
+                let floor: Option<f64> = parts
+                    .get(2)
+                    .map(|f| f.parse())
+                    .transpose()
+                    .map_err(|_| format!("{spec}: bad fidelity floor"))?;
+                let model = PhysicsModel::Decoherent {
+                    initial_fidelity: Self::DEFAULT_INITIAL_FIDELITY,
+                    coherence_time_s: t2,
+                    cutoff_s: None,
+                    fidelity_floor: floor,
+                    order: ConsumeOrder::OldestFirst,
+                };
+                model.check().map_err(|e| format!("{spec}: {e}"))?;
+                // The floor's storage cutoff derives from the checked model.
+                Ok(floor.map_or(model, |floor| model.with_fidelity_floor(floor)))
             }
             other => Err(format!(
                 "unknown physics model '{other}' (valid: ideal, decoherent:T2, \
                  decoherent:T2:FLOOR; see --list-physics)"
             )),
+        }
+    }
+
+    /// The value rules every runnable model satisfies, as the builders
+    /// assert them: a decoherent model's coherence time is positive and
+    /// finite, its birth fidelity `F0` lies in `[0.25, 1]`, its fidelity
+    /// floor, if any, in `[0.25, F0)`, and its cutoff age, if any, is
+    /// positive. NaN fails every rule.
+    pub fn check(&self) -> Result<(), String> {
+        match *self {
+            PhysicsModel::Decoherent {
+                coherence_time_s: t2,
+                ..
+            } if !(t2 > 0.0 && t2.is_finite()) => Err(format!(
+                "coherence time must be positive and finite (got {t2})"
+            )),
+            PhysicsModel::Decoherent {
+                initial_fidelity: f0,
+                ..
+            } if !(0.25..=1.0).contains(&f0) => {
+                Err(format!("initial fidelity must be in [0.25, 1] (got {f0})"))
+            }
+            PhysicsModel::Decoherent {
+                cutoff_s: Some(age),
+                ..
+            } if age.is_nan() || age <= 0.0 => {
+                Err(format!("cutoff age must be positive (got {age})"))
+            }
+            PhysicsModel::Decoherent {
+                initial_fidelity: f0,
+                fidelity_floor: Some(floor),
+                ..
+            } if !(0.25..f0).contains(&floor) => Err(format!(
+                "fidelity floor must be in [0.25, {f0}), below the initial fidelity (got {floor})"
+            )),
+            _ => Ok(()),
         }
     }
 

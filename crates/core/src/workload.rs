@@ -155,6 +155,32 @@ impl WorkloadSpec {
         self
     }
 
+    /// The value rules every runnable spec satisfies: at least one
+    /// consumer pair; a closed-loop batch of at least one request; an
+    /// open-loop rate and arrival horizon that are positive and finite; a
+    /// Zipf exponent that is finite and `≥ 0`. NaN fails every rule. The
+    /// node count is not checked: grids patch it per topology.
+    pub fn check(&self) -> Result<(), String> {
+        let positive = |x: f64| x > 0.0 && x.is_finite();
+        let rule = match (self.traffic, self.selection) {
+            _ if self.consumer_pairs < 1 => "a workload needs at least one consumer pair".into(),
+            (TrafficModel::ClosedLoopBatch { requests: 0 }, _) => {
+                "a closed-loop batch needs at least one request".into()
+            }
+            (TrafficModel::OpenLoopPoisson { rate_hz, .. }, _) if !positive(rate_hz) => {
+                format!("open-loop arrival rate must be positive and finite (got {rate_hz})")
+            }
+            (TrafficModel::OpenLoopPoisson { horizon_s, .. }, _) if !positive(horizon_s) => {
+                format!("open-loop arrival horizon must be positive and finite (got {horizon_s})")
+            }
+            (_, PairSelection::ZipfSkew { s }) if !(s >= 0.0 && s.is_finite()) => {
+                format!("Zipf exponent must be finite and ≥ 0 (got {s})")
+            }
+            _ => return Ok(()),
+        };
+        Err(rule)
+    }
+
     /// True for open-loop traffic models.
     pub fn is_open_loop(&self) -> bool {
         matches!(self.traffic, TrafficModel::OpenLoopPoisson { .. })

@@ -89,7 +89,7 @@
 //!
 //! ```
 //! use qnet::campaign::{
-//!     aggregate, merge_shards, read_shard, run_campaign_cached, run_scenarios_with_progress,
+//!     aggregate, merge_shards, read_shard, run_campaign_cached, run_scenarios_streaming,
 //!     shard_to_string, to_jsonl_string, OutcomeCache, RunnerConfig, ScenarioGrid, ShardSpec,
 //! };
 //! use qnet::prelude::*;
@@ -121,12 +121,12 @@
 //! let shards: Vec<_> = (0..2)
 //!     .map(|i| {
 //!         let spec = ShardSpec::new(i, 2).expect("valid shard");
-//!         let run = run_scenarios_with_progress(
+//!         let run = run_scenarios_streaming(
 //!             &grid,
 //!             &RunnerConfig::serial(),
 //!             &spec.ids(grid.scenario_count()),
 //!             None,
-//!             |_, _| {},
+//!             |_| {},
 //!         )
 //!         .expect("no cache I/O");
 //!         read_shard(&shard_to_string(&grid, spec, &run.outcomes)).expect("round-trips")

@@ -104,7 +104,7 @@ pub enum Topology {
     ErdosRenyiConnected {
         /// Number of nodes.
         nodes: usize,
-        /// Independent edge probability, clamped to [0, 1].
+        /// Independent edge probability in `[0, 1]`.
         edge_probability: f64,
     },
     /// A uniformly random spanning tree (random connected graph with the
@@ -123,9 +123,9 @@ pub enum Topology {
     WattsStrogatz {
         /// Number of nodes.
         nodes: usize,
-        /// Ring-lattice degree (rounded down to an even count, minimum 2).
+        /// Ring-lattice degree: even, in `2..nodes`.
         neighbors: usize,
-        /// Per-edge rewiring probability, clamped to [0, 1].
+        /// Per-edge rewiring probability in `[0, 1]`.
         rewire_probability: f64,
     },
     /// Barabási–Albert preferential attachment: growth from a small seed
@@ -136,7 +136,7 @@ pub enum Topology {
     ScaleFree {
         /// Number of nodes.
         nodes: usize,
-        /// Edges added per arriving node (clamped to `1..nodes`).
+        /// Edges added per arriving node, in `1..nodes`.
         attach: usize,
     },
     /// The stylized NYC deployed-fiber template (Craddock et al.): a fixed
@@ -185,9 +185,40 @@ impl Topology {
             | Topology::ScaleFree { nodes, .. } => nodes,
             Topology::TorusGrid { side }
             | Topology::PlanarGrid { side }
-            | Topology::RandomConnectedGrid { side } => side * side,
+            | Topology::RandomConnectedGrid { side } => side.saturating_mul(side),
             Topology::DeployedFiber => crate::fabric::nyc_fiber_node_count(),
         }
+    }
+
+    /// The parameter rules every runnable recipe satisfies: at least two
+    /// nodes (consumer pairs need two endpoints), probabilities in
+    /// `[0, 1]`, an even Watts–Strogatz degree `K` in `2..N` and a
+    /// scale-free attachment `M` in `1..N`. The builders would otherwise
+    /// clamp or round such values, silently building a graph other than
+    /// the one the label names. NaN fails every rule.
+    pub fn check(&self) -> Result<(), String> {
+        let nodes = self.node_count();
+        let rule = match *self {
+            _ if nodes < 2 => "has fewer than 2 nodes; consumer pairs need at least 2".to_string(),
+            Topology::ErdosRenyiConnected {
+                edge_probability: p,
+                ..
+            }
+            | Topology::WattsStrogatz {
+                rewire_probability: p,
+                ..
+            } if !(0.0..=1.0).contains(&p) => format!("needs a probability P in [0, 1] (got {p})"),
+            Topology::WattsStrogatz { neighbors: k, .. }
+                if k % 2 != 0 || !(2..nodes).contains(&k) =>
+            {
+                format!("needs an even ring degree K in 2..={} (got {k})", nodes - 1)
+            }
+            Topology::ScaleFree { attach: m, .. } if !(1..nodes).contains(&m) => {
+                format!("needs an attachment M in 1..={} (got {m})", nodes - 1)
+            }
+            _ => return Ok(()),
+        };
+        Err(format!("topology {} {rule}", self.label()))
     }
 
     /// True if the recipe uses randomness (i.e. the seed matters).
@@ -772,6 +803,7 @@ mod tests {
             assert_eq!(g.node_count(), t.node_count(), "{}", t.label());
             assert!(is_connected(&g), "{}", t.label());
             assert!(!t.label().is_empty());
+            assert_eq!(t.check(), Ok(()), "{}", t.label());
         }
         assert!(Topology::ScaleFree {
             nodes: 30,
@@ -786,5 +818,52 @@ mod tests {
         }
         .is_random());
         assert!(!Topology::Cycle { nodes: 3 }.is_random());
+    }
+
+    #[test]
+    fn check_rejects_parameters_the_builders_would_change() {
+        let er = |p| Topology::ErdosRenyiConnected {
+            nodes: 9,
+            edge_probability: p,
+        };
+        let ws = |nodes, neighbors, p| Topology::WattsStrogatz {
+            nodes,
+            neighbors,
+            rewire_probability: p,
+        };
+        let sf = |nodes, attach| Topology::ScaleFree { nodes, attach };
+        for (bad, rule) in [
+            (er(-1.0), "probability P in [0, 1]"),
+            (er(2.0), "probability P"),
+            (er(f64::NAN), "probability P"),
+            (ws(9, 4, 1.5), "probability P"),
+            (ws(5, 10, 0.2), "even ring degree K"),
+            (ws(9, 3, 0.2), "even ring degree K"),
+            (ws(9, 0, 0.2), "even ring degree K"),
+            (sf(3, 0), "attachment M in"),
+            (sf(5, 10), "attachment M in"),
+            (sf(5, 5), "attachment M in"),
+            (Topology::Cycle { nodes: 1 }, "fewer than 2 nodes"),
+            (Topology::TorusGrid { side: 1 }, "fewer than 2 nodes"),
+        ] {
+            let err = bad.check().unwrap_err();
+            assert!(err.contains(rule), "{}: {err}", bad.label());
+        }
+        // Boundary values the builders keep as given.
+        for good in [
+            er(0.0),
+            er(1.0),
+            ws(9, 8, 0.0),
+            ws(3, 2, 1.0),
+            sf(2, 1),
+            sf(5, 4),
+        ] {
+            assert_eq!(good.check(), Ok(()), "{}", good.label());
+        }
+        // Oversized sides saturate instead of overflowing.
+        assert_eq!(
+            Topology::TorusGrid { side: usize::MAX }.node_count(),
+            usize::MAX
+        );
     }
 }

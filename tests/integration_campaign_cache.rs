@@ -9,7 +9,7 @@
 
 use qnet::campaign::{
     aggregate, merge_shards, read_shard, run_campaign, run_campaign_cached,
-    run_scenarios_with_progress, shard_to_string, to_jsonl_string, OutcomeCache, RunnerConfig,
+    run_scenarios_streaming, shard_to_string, to_jsonl_string, OutcomeCache, RunnerConfig,
     ScenarioGrid, ShardSpec,
 };
 use qnet::prelude::*;
@@ -92,12 +92,12 @@ fn cold_warm_and_sharded_reports_are_byte_identical_on_the_default_grid() {
         .map(|i| {
             let spec = ShardSpec::new(i, 3).unwrap();
             let mut shard_cache = OutcomeCache::open(&dir, &grid).unwrap();
-            let run = run_scenarios_with_progress(
+            let run = run_scenarios_streaming(
                 &grid,
                 &RunnerConfig::serial(),
                 &spec.ids(grid.scenario_count()),
                 Some(&mut shard_cache),
-                |_, _| {},
+                |_| {},
             )
             .unwrap();
             assert_eq!(run.simulated, 0, "shards reuse the cache too");
@@ -137,12 +137,12 @@ fn freshly_executed_shard_partitions_merge_to_the_direct_report() {
         let shards: Vec<_> = (0..count)
             .map(|i| {
                 let spec = ShardSpec::new(i, count).unwrap();
-                let run = run_scenarios_with_progress(
+                let run = run_scenarios_streaming(
                     &grid,
                     &RunnerConfig::with_threads(3),
                     &spec.ids(grid.scenario_count()),
                     None,
-                    |_, _| {},
+                    |_| {},
                 )
                 .unwrap();
                 assert_eq!(run.simulated, run.outcomes.len());

@@ -22,7 +22,7 @@
 
 use qnet::campaign::{
     aggregate, merge_shards, read_shard, run_campaign, run_campaign_cached,
-    run_scenarios_with_progress, shard_to_string, to_jsonl_string, OutcomeCache, ShardSpec,
+    run_scenarios_streaming, shard_to_string, to_jsonl_string, OutcomeCache, ShardSpec,
 };
 use qnet::core::classical::KnowledgeModel;
 use qnet::core::physics::{ConsumeOrder, PhysicsModel};
@@ -272,12 +272,12 @@ fn decoherent_campaigns_are_thread_count_and_shard_deterministic() {
     let shards: Vec<_> = (0..3)
         .map(|i| {
             let spec = ShardSpec::new(i, 3).expect("valid shard");
-            let run = run_scenarios_with_progress(
+            let run = run_scenarios_streaming(
                 &grid,
                 &RunnerConfig::serial(),
                 &spec.ids(grid.scenario_count()),
                 None,
-                |_, _| {},
+                |_| {},
             )
             .expect("no cache I/O");
             read_shard(&shard_to_string(&grid, spec, &run.outcomes)).expect("round-trips")
