@@ -668,6 +668,41 @@ mod tests {
     }
 
     #[test]
+    fn ratios_do_not_pair_across_physics_models() {
+        use qnet_core::physics::PhysicsModel;
+        let oblivious = aggregate_cell(
+            key(0, PolicyId::OBLIVIOUS, 1.0),
+            &[outcome(0, 0, 0, Some(6.0))],
+        );
+        let mut decoherent_planned_key = key(1, PolicyId::PLANNED, 1.0);
+        decoherent_planned_key.physics = Some(PhysicsModel::decoherent(1.0));
+        let planned = aggregate_cell(decoherent_planned_key, &[outcome(1, 1, 0, Some(2.0))]);
+        assert!(
+            overhead_ratios(&[oblivious, planned]).is_empty(),
+            "ideal numerator must not pair with a decoherent denominator"
+        );
+    }
+
+    #[test]
+    fn ratios_do_not_pair_across_traffic_models() {
+        use qnet_core::workload::TrafficModel;
+        let oblivious = aggregate_cell(
+            key(0, PolicyId::OBLIVIOUS, 1.0),
+            &[outcome(0, 0, 0, Some(6.0))],
+        );
+        let mut open_planned_key = key(1, PolicyId::PLANNED, 1.0);
+        open_planned_key.traffic = Some(TrafficModel::OpenLoopPoisson {
+            rate_hz: 1.0,
+            horizon_s: 6.0,
+        });
+        let planned = aggregate_cell(open_planned_key, &[outcome(1, 1, 0, Some(2.0))]);
+        assert!(
+            overhead_ratios(&[oblivious, planned]).is_empty(),
+            "closed-loop numerator must not pair with an open-loop denominator"
+        );
+    }
+
+    #[test]
     fn ratios_pair_only_keys_equal_apart_from_cell_and_mode() {
         use qnet_core::physics::PhysicsModel;
         use qnet_core::workload::TrafficModel;
