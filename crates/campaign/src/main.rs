@@ -183,23 +183,53 @@ fn listing(flag: &str) -> Option<String> {
     Some(text.to_string())
 }
 
+/// Every topology family `--topologies` accepts, with the fewest and the
+/// most `:`-separated parameters it takes.
+const TOPOLOGY_FAMILIES: [(&str, usize, usize); 12] = [
+    ("cycle", 1, 1),
+    ("path", 1, 1),
+    ("star", 1, 1),
+    ("complete", 1, 1),
+    ("torus", 1, 1),
+    ("grid", 1, 1),
+    ("rand-grid", 1, 1),
+    ("er", 2, 2),
+    ("ws", 3, 3),
+    ("tree", 1, 1),
+    ("scale-free", 1, 2),
+    ("nyc-fiber", 0, 0),
+];
+
 fn parse_topology(spec: &str) -> Result<Topology, String> {
     let parts: Vec<&str> = spec.split(':').collect();
+    let Some(&(family, least, most)) = TOPOLOGY_FAMILIES.iter().find(|f| f.0 == parts[0]) else {
+        let families: Vec<&str> = TOPOLOGY_FAMILIES.iter().map(|f| f.0).collect();
+        return Err(format!(
+            "unknown topology family '{}' (valid: {}; see --list-topologies)",
+            parts[0],
+            families.join(", ")
+        ));
+    };
+    if !(least..=most).contains(&(parts.len() - 1)) {
+        let count = if least == most {
+            least.to_string()
+        } else {
+            format!("{least}–{most}")
+        };
+        let plural = if most == 1 { "" } else { "s" };
+        return Err(format!("{spec}: {family} takes {count} parameter{plural}"));
+    }
     let n = |i: usize| -> Result<usize, String> {
-        parts
-            .get(i)
-            .ok_or_else(|| format!("{spec}: missing parameter {i}"))?
+        parts[i]
             .parse()
             .map_err(|_| format!("{spec}: bad integer parameter"))
     };
     let f = |i: usize| -> Result<f64, String> {
-        parts
-            .get(i)
-            .ok_or_else(|| format!("{spec}: missing parameter {i}"))?
+        parts[i]
             .parse()
             .map_err(|_| format!("{spec}: bad float parameter"))
     };
-    let topology = match parts[0] {
+    let topology = match family {
         "cycle" => Topology::Cycle { nodes: n(1)? },
         "path" => Topology::Path { nodes: n(1)? },
         "star" => Topology::Star { nodes: n(1)? },
@@ -223,19 +253,8 @@ fn parse_topology(spec: &str) -> Result<Topology, String> {
             // classic internet-like Barabási–Albert setting).
             attach: if parts.len() > 2 { n(2)? } else { 2 },
         },
-        "nyc-fiber" => {
-            if parts.len() > 1 {
-                return Err(format!("{spec}: nyc-fiber takes no parameters"));
-            }
-            Topology::DeployedFiber
-        }
-        other => {
-            return Err(format!(
-                "unknown topology family '{other}' (valid: cycle, path, star, complete, \
-                 torus, grid, rand-grid, er, ws, tree, scale-free, nyc-fiber; \
-                 see --list-topologies)"
-            ))
-        }
+        "nyc-fiber" => Topology::DeployedFiber,
+        _ => unreachable!("every family in TOPOLOGY_FAMILIES has an arm"),
     };
     topology.check()?;
     Ok(topology)
@@ -1526,6 +1545,30 @@ mod tests {
         assert!(parse_topology("scale-free").is_err());
     }
 
+    #[test]
+    fn topology_specs_with_trailing_parameters_are_rejected() {
+        for (spec, err) in [
+            ("cycle:5:junk", "cycle:5:junk: cycle takes 1 parameter"),
+            ("torus:3:7", "torus:3:7: torus takes 1 parameter"),
+            ("er:10:0.5:1", "er:10:0.5:1: er takes 2 parameters"),
+            (
+                "rand-grid:3:abc",
+                "rand-grid:3:abc: rand-grid takes 1 parameter",
+            ),
+            ("ws:9:4:0.2:x", "ws:9:4:0.2:x: ws takes 3 parameters"),
+            (
+                "scale-free:50:2:9",
+                "scale-free:50:2:9: scale-free takes 1–2 parameters",
+            ),
+            ("tree:9:1", "tree:9:1: tree takes 1 parameter"),
+            ("nyc-fiber:3", "nyc-fiber:3: nyc-fiber takes 0 parameters"),
+            ("cycle", "cycle: cycle takes 1 parameter"),
+            ("ws:9:4", "ws:9:4: ws takes 3 parameters"),
+        ] {
+            assert_eq!(parse_topology(spec), Err(err.to_string()), "{spec}");
+        }
+    }
+
     /// Grammar heads, parameters and selection suffixes that steer
     /// arbitrary specs into the parsers' accepting branches rather than
     /// straight into an unknown-name error. Each case tries every head with
@@ -1584,6 +1627,10 @@ mod tests {
             for spec in specs {
                 if let Ok(topology) = parse_topology(&spec) {
                     proptest::prop_assert_eq!(topology.check(), Ok(()), "{}", spec);
+                    let mut parts = spec.split(':');
+                    let head = parts.next();
+                    let most = TOPOLOGY_FAMILIES.iter().find(|f| Some(f.0) == head).map(|f| f.2);
+                    proptest::prop_assert!(Some(parts.count()) <= most, "{}", spec);
                 }
                 if let Ok(workload) = parse_workload(&spec, 10, 12, 4_000.0) {
                     proptest::prop_assert_eq!(workload.check(), Ok(()), "{}", spec);

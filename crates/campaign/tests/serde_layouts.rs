@@ -375,6 +375,28 @@ fn golden_gossip_grid() -> ScenarioGrid {
         .with_horizon_s(1_000.0)
 }
 
+/// The planned-family golden grid of `tests/integration_policy.rs`.
+fn golden_planned_grid() -> ScenarioGrid {
+    ScenarioGrid::new(3)
+        .with_topologies(vec![
+            Topology::Cycle { nodes: 16 },
+            Topology::RandomConnectedGrid { side: 4 },
+        ])
+        .with_modes(vec![
+            PolicyId::PLANNED,
+            PolicyId::CONNECTIONLESS,
+            PolicyId::GREEDY,
+        ])
+        .with_distillations(vec![1.0, 2.0])
+        .with_knowledge(vec![
+            KnowledgeModel::Global,
+            KnowledgeModel::parse("gossip:1:2").unwrap(),
+        ])
+        .with_workloads(vec![WorkloadSpec::closed_loop(0, 8, 20)])
+        .with_replicates(2)
+        .with_horizon_s(4_000.0)
+}
+
 #[test]
 fn knowledge_model_layouts() {
     pin("global", &KnowledgeModel::Global, r#""Global""#);
@@ -549,6 +571,7 @@ fn grid_fingerprints_are_pinned() {
             "1c5b2d21f6e5ceec",
         ),
         ("gossip golden", golden_gossip_grid(), "c4a12ba2ed70262f"),
+        ("planned golden", golden_planned_grid(), "4661f590ae5e5026"),
         (
             "open-loop gossip CLI grid",
             cli_open_gossip_grid(),

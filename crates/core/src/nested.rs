@@ -9,10 +9,10 @@
 //! s(1) = 0,   s(2) = D,   s(n) = D · ( s(⌊n/2⌋) + s(⌈n/2⌉) )   for n > 2.
 //! ```
 //!
-//! This module implements that recursion exactly as the paper states it, plus
-//! a variant ([`nested_swap_cost_with_joins`]) that also charges the
-//! top-level joining swaps (`s'(n) = D·(s'(⌊n/2⌋) + s'(⌈n/2⌉)) + D`), which is
-//! the count an executing simulator actually performs.
+//! This module implements that recursion exactly as the paper states it.
+//! The count an executing simulator actually performs also charges the
+//! top-level joining swaps (`s'(n) = D·(s'(⌊n/2⌋) + s'(⌈n/2⌉)) + D`); that
+//! is [`crate::planned::planned_path_swap_cost`] at `⌈D⌉`.
 
 /// The paper's nested swapping cost `s(n)` for an `n`-hop shortest path and
 /// uniform distillation overhead `d`.
@@ -27,22 +27,6 @@ pub fn nested_swap_cost(n: usize, d: f64) -> f64 {
         1 => 0.0,
         2 => d,
         _ => d * (nested_swap_cost(n / 2, d) + nested_swap_cost(n.div_ceil(2), d)),
-    }
-}
-
-/// Nested swapping cost including the top-level joining swaps: the number of
-/// swap operations an executor performs to deliver one distilled pair over an
-/// `n`-hop path when every level distils `⌈d⌉` inputs down to one.
-pub fn nested_swap_cost_with_joins(n: usize, d: f64) -> f64 {
-    assert!(n >= 1, "path length must be at least one hop");
-    assert!(d >= 1.0, "distillation overhead must be ≥ 1");
-    match n {
-        1 => 0.0,
-        _ => {
-            d * (nested_swap_cost_with_joins(n / 2, d)
-                + nested_swap_cost_with_joins(n.div_ceil(2), d))
-                + d
-        }
     }
 }
 
@@ -84,27 +68,6 @@ mod tests {
         assert_eq!(nested_swap_cost(8, 1.0), 4.0);
         assert_eq!(nested_swap_cost(6, 1.0), 2.0);
         assert_eq!(nested_swap_cost(7, 1.0), 3.0);
-    }
-
-    #[test]
-    fn with_joins_matches_linear_chain_for_unit_d() {
-        // Charging the joining swaps too, a D = 1 path of n hops needs the
-        // textbook n − 1 swaps.
-        for n in 1..20 {
-            assert_eq!(nested_swap_cost_with_joins(n, 1.0), (n - 1) as f64, "n={n}");
-        }
-    }
-
-    #[test]
-    fn with_joins_dominates_paper_cost() {
-        for n in 1..16 {
-            for &d in &[1.0, 2.0, 3.0] {
-                assert!(
-                    nested_swap_cost_with_joins(n, d) >= nested_swap_cost(n, d),
-                    "n={n} d={d}"
-                );
-            }
-        }
     }
 
     #[test]

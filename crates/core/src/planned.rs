@@ -1,17 +1,26 @@
-//! Planned-path baselines.
+//! Planned-path baselines: nested swapping along a concrete node path.
 //!
 //! The paper (§1, §7) classifies prior art into *connection-oriented*
 //! planned-path protocols (a specific path is reserved per request, swaps are
 //! performed along it) and *connectionless* variants (the path is chosen per
 //! request but Bell pairs at shared links are competed for). This module
-//! provides the executable machinery both share: nested swapping along a
-//! concrete node path, drawing base pairs from the inventory pools of
-//! consecutive path edges, with the distill-before-use cost model of paper
-//! §3.2 (`⌈D⌉` pairs drawn per use, see
+//! provides the one nested-swap executor both share, and the greedy
+//! split-order discipline ([`crate::policy::greedy`]) too: it draws base
+//! pairs from the inventory pools of consecutive path edges, with the
+//! distill-before-use cost model of paper §3.2 (`⌈D⌉` pairs drawn per use, see
 //! [`NetworkConfig::pairs_per_distilled`](crate::NetworkConfig::pairs_per_distilled)).
 //!
-//! The planned-path swap policies ([`crate::policy::planned`]) drive these
-//! executors from inside the simulation harness; the pure analytic optimum
+//! **Plan on the overlay, replay; no clone.** A build is decided once, by a
+//! dry run on a count-space overlay of the inventory that records every
+//! swap it accepts. A failed dry run leaves the inventory untouched; a
+//! successful one is replayed onto the inventory swap by swap. No inventory
+//! is ever cloned, and since only the dry run decides, the plan and the
+//! commit cannot disagree. The recursion's only variation is where it
+//! splits a segment: at the midpoint (the balanced order), or where the
+//! stock is deepest (the greedy order).
+//!
+//! The planned-path swap policies ([`crate::policy::planned`]) drive this
+//! executor from inside the simulation harness; the pure analytic optimum
 //! used by the swap-overhead metric lives in [`crate::nested`].
 
 use crate::balancer::CountView;
@@ -22,40 +31,31 @@ use std::collections::BTreeMap;
 /// A count-space scratch view over an inventory: reads fall through to the
 /// base counts, writes land in small overlay maps. Whether a nested build
 /// succeeds depends *only* on pool counts, node loads and the buffer limit
-/// — never on the lot store — so a dry run against this overlay predicts
-/// [`build_segment`]'s verdict exactly without cloning the inventory (whose
-/// count matrix alone is N²/2 words — the clone per blocked request was
-/// what dominated planned-baseline runs at |N| ≈ 10³). The base counts are
-/// ground truth for the exact dry run, or a stale believed view
+/// — never on the lot store — so a dry run against this overlay decides
+/// the build exactly without cloning the inventory (whose count matrix
+/// alone is N²/2 words). The base counts are ground truth for a build that
+/// commits, or a stale believed view
 /// ([`crate::control::KnowledgeView`]) when predicting what a
 /// partial-knowledge consumer would decide; loads and the buffer limit
-/// always come from truth.
+/// always come from truth. Every swap the overlay accepts is recorded, in
+/// order, for the replay.
 struct CountOverlay<'a> {
     truth: &'a Inventory,
-    believed: &'a dyn CountView,
+    base: &'a dyn CountView,
     counts: BTreeMap<NodePair, u64>,
     loads: BTreeMap<NodeId, u64>,
+    swaps: Vec<(NodeId, NodeId, NodeId)>,
 }
 
 impl<'a> CountOverlay<'a> {
-    fn new(truth: &'a Inventory) -> Self {
-        CountOverlay::with_believed(truth, truth)
-    }
-
-    fn with_believed(truth: &'a Inventory, believed: &'a dyn CountView) -> Self {
+    fn new(truth: &'a Inventory, base: &'a dyn CountView) -> Self {
         CountOverlay {
             truth,
-            believed,
+            base,
             counts: BTreeMap::new(),
             loads: BTreeMap::new(),
+            swaps: Vec::new(),
         }
-    }
-
-    fn count(&self, pair: NodePair) -> u64 {
-        self.counts
-            .get(&pair)
-            .copied()
-            .unwrap_or_else(|| self.believed.count(pair))
     }
 
     fn load(&self, node: NodeId) -> u64 {
@@ -73,7 +73,7 @@ impl<'a> CountOverlay<'a> {
     /// Mirror of [`Inventory::apply_swap`]'s count-space bookkeeping,
     /// including its check order: both removals are validated first, then
     /// the product insertion hits the buffer check with the loads already
-    /// decremented by the removals.
+    /// decremented by the removals. An accepted swap is recorded.
     fn apply_swap(&mut self, repeater: NodeId, left: NodeId, right: NodeId, k: u64) -> bool {
         let left_pair = NodePair::new(repeater, left);
         let right_pair = NodePair::new(repeater, right);
@@ -96,14 +96,68 @@ impl<'a> CountOverlay<'a> {
         self.counts.insert(product, c);
         self.add_load(product.lo(), 1);
         self.add_load(product.hi(), 1);
+        self.swaps.push((repeater, left, right));
         true
     }
 }
 
-/// Read-only twin of [`build_segment`]: same recursion, same decisions,
-/// mutating only the overlay. Returns whether the build would succeed.
-fn dry_run_segment(
+impl CountView for CountOverlay<'_> {
+    fn count(&self, pair: NodePair) -> u64 {
+        self.counts
+            .get(&pair)
+            .copied()
+            .unwrap_or_else(|| self.base.count(pair))
+    }
+}
+
+/// Where a nested build splits the segment `path[from] .. path[to]`: the
+/// recursion's only variation.
+#[derive(Clone, Copy)]
+pub(crate) enum Split<'a> {
+    /// At the midpoint: the balanced nested order, which minimises swaps
+    /// when every pool starts empty.
+    Midpoint,
+    /// At the interior node `j` whose two sub-pools hold the most stock,
+    /// `min(count(from, j), count(j, to))`; ties go to the split closest to
+    /// the midpoint, so on an empty inventory this is the balanced order.
+    /// The counts come from the given view (a consumer's believed counts,
+    /// read once for the whole build) or, when `None`, from the build's
+    /// own overlay as it stands at that point of the build.
+    Deepest(Option<&'a dyn CountView>),
+}
+
+impl Split<'_> {
+    fn at(self, overlay: &CountOverlay<'_>, path: &[NodeId], from: usize, to: usize) -> usize {
+        debug_assert!(to > from + 1);
+        let counts: &dyn CountView = match self {
+            Split::Midpoint => return from + (to - from) / 2,
+            Split::Deepest(Some(view)) => view,
+            Split::Deepest(None) => overlay,
+        };
+        let mid2 = from + to; // 2 × the (possibly fractional) midpoint
+        let mut best = from + 1;
+        let mut best_stock = 0u64;
+        for j in from + 1..to {
+            let stock = counts
+                .count(NodePair::new(path[from], path[j]))
+                .min(counts.count(NodePair::new(path[j], path[to])));
+            if stock > best_stock
+                || (stock == best_stock && (2 * j).abs_diff(mid2) < (2 * best).abs_diff(mid2))
+            {
+                best = j;
+                best_stock = stock;
+            }
+        }
+        best
+    }
+}
+
+/// The one nested-swap recursion: ensure at least `need` pairs exist in the
+/// pool spanning `path[from] .. path[to]` on the overlay, creating missing
+/// ones by nested swapping. Returns whether the build succeeds.
+fn plan_segment(
     overlay: &mut CountOverlay<'_>,
+    split: Split<'_>,
     path: &[NodeId],
     from: usize,
     to: usize,
@@ -111,71 +165,73 @@ fn dry_run_segment(
     k: u64,
 ) -> bool {
     debug_assert!(to > from);
-    let pool = NodePair::new(path[from], path[to]);
-    let have = overlay.count(pool);
+    let have = overlay.count(NodePair::new(path[from], path[to]));
     if have >= need {
         return true;
     }
     if to == from + 1 {
-        return false;
-    }
-    let missing = need - have;
-    let mid = from + (to - from) / 2;
-    if !dry_run_segment(overlay, path, from, mid, k * missing, k)
-        || !dry_run_segment(overlay, path, mid, to, k * missing, k)
-    {
-        return false;
-    }
-    for _ in 0..missing {
-        if !overlay.apply_swap(path[mid], path[from], path[to], k) {
-            return false;
-        }
-    }
-    true
-}
-
-/// Ensure at least `need` pairs exist in the pool spanning
-/// `path[from] .. path[to]`, creating missing ones by nested swapping.
-/// Returns the number of swap operations performed, or `None` if the
-/// required base pairs are not available (in which case the inventory may
-/// have been partially mutated — callers that need atomicity should work on
-/// a clone, as [`execute_nested_along_path`] does).
-fn build_segment(
-    inventory: &mut Inventory,
-    path: &[NodeId],
-    from: usize,
-    to: usize,
-    need: u64,
-    k: u64,
-) -> Option<u64> {
-    debug_assert!(to > from);
-    let pool = NodePair::new(path[from], path[to]);
-    let have = inventory.count(pool);
-    if have >= need {
-        return Some(0);
-    }
-    if to == from + 1 {
         // Base segment: pairs can only come from generation, which is not
         // under the executor's control.
-        return None;
+        return false;
     }
     let missing = need - have;
-    let mid = from + (to - from) / 2;
-    let mut swaps = 0;
-    swaps += build_segment(inventory, path, from, mid, k * missing, k)?;
-    swaps += build_segment(inventory, path, mid, to, k * missing, k)?;
-    for _ in 0..missing {
-        inventory
-            .apply_swap(path[mid], path[from], path[to], k, k)
-            .ok()?;
-        swaps += 1;
+    let j = split.at(overlay, path, from, to);
+    plan_segment(overlay, split, path, from, j, k * missing, k)
+        && plan_segment(overlay, split, path, j, to, k * missing, k)
+        && (0..missing).all(|_| overlay.apply_swap(path[j], path[from], path[to], k))
+}
+
+/// The swaps of a feasible nested build, in execution order, each
+/// `(repeater, left, right)` drawing `k` pairs from both input pools.
+#[must_use = "a plan does nothing until it is committed"]
+pub(crate) struct NestedPlan {
+    swaps: Vec<(NodeId, NodeId, NodeId)>,
+    k: u64,
+}
+
+impl NestedPlan {
+    /// Replay the plan onto the inventory it was planned on (unchanged
+    /// since), returning the number of swaps performed.
+    pub(crate) fn commit(self, inventory: &mut Inventory) -> u64 {
+        for &(repeater, left, right) in &self.swaps {
+            inventory
+                .apply_swap(repeater, left, right, self.k, self.k)
+                .expect("dry run verified count-space feasibility");
+        }
+        self.swaps.len() as u64
     }
-    Some(swaps)
+}
+
+/// Plan the build of `count` pairs between the first and last node of
+/// `path`, splitting by `split`, without touching `truth`. Pool counts come
+/// from `base` (truth itself, or a consumer's believed counts); node loads
+/// and the buffer limit come from `truth`, local-node state every node
+/// knows exactly. `None` means the build fails.
+///
+/// `k` is the `⌈D⌉` distill-before-use factor: each swap draws `k` pairs from
+/// each of its two input pools.
+pub(crate) fn plan_nested(
+    truth: &Inventory,
+    base: &dyn CountView,
+    split: Split<'_>,
+    path: &[NodeId],
+    count: u64,
+    k: u64,
+) -> Option<NestedPlan> {
+    assert!(path.len() >= 2, "a swap path needs at least two nodes");
+    assert!(k >= 1, "the distillation draw factor is at least one");
+    let mut overlay = CountOverlay::new(truth, base);
+    let feasible = plan_segment(&mut overlay, split, path, 0, path.len() - 1, count, k);
+    feasible.then_some(NestedPlan {
+        swaps: overlay.swaps,
+        k,
+    })
 }
 
 /// Produce `count` raw Bell pairs between the first and last node of `path`
-/// by nested swapping along it, atomically: either the pairs are produced and
-/// `Some(swap_count)` is returned, or the inventory is left untouched.
+/// by balanced nested swapping along it, atomically: either the pairs are
+/// produced and `Some(swap_count)` is returned, or the inventory is left
+/// untouched.
 ///
 /// `k` is the `⌈D⌉` distill-before-use factor: each swap draws `k` pairs from
 /// each of its two input pools.
@@ -185,30 +241,15 @@ pub fn execute_nested_along_path(
     count: u64,
     k: u64,
 ) -> Option<u64> {
-    assert!(path.len() >= 2, "a swap path needs at least two nodes");
-    assert!(k >= 1, "the distillation draw factor is at least one");
-    if count == 0 {
-        return Some(0);
-    }
-    // Dry-run the build on a count-space overlay first: its verdict is
-    // exact, so a failed attempt (the common case in a congested network)
-    // costs a few map entries instead of a full inventory clone, and a
-    // successful build can mutate the ground truth directly.
-    let mut overlay = CountOverlay::new(inventory);
-    if !dry_run_segment(&mut overlay, path, 0, path.len() - 1, count, k) {
-        return None;
-    }
-    let swaps = build_segment(inventory, path, 0, path.len() - 1, count, k)
-        .expect("dry run verified count-space feasibility");
-    Some(swaps)
+    let plan = plan_nested(inventory, inventory, Split::Midpoint, path, count, k)?;
+    Some(plan.commit(inventory))
 }
 
-/// Dry-run the nested build over *believed* counts: whether a consumer that
-/// trusts `believed` for pool counts would judge `count` pairs spanning
-/// `path` buildable. Node loads and the buffer limit still come from
-/// `truth` — they are local-node state every node knows exactly. Used by
-/// the stale control plane to separate "believed infeasible, wait" from
-/// "believed feasible but truth disagrees — a missed swap".
+/// Plan the balanced build over *believed* counts and do not commit it:
+/// whether a consumer that trusts `believed` for pool counts would judge
+/// `count` pairs spanning `path` buildable. Used by the stale control plane
+/// to separate "believed infeasible, wait" from "believed feasible but
+/// truth disagrees — a missed swap".
 pub(crate) fn dry_run_nested_along_path(
     truth: &Inventory,
     believed: &dyn CountView,
@@ -216,12 +257,7 @@ pub(crate) fn dry_run_nested_along_path(
     count: u64,
     k: u64,
 ) -> bool {
-    assert!(path.len() >= 2, "a swap path needs at least two nodes");
-    if count == 0 {
-        return true;
-    }
-    let mut overlay = CountOverlay::with_believed(truth, believed);
-    dry_run_segment(&mut overlay, path, 0, path.len() - 1, count, k)
+    plan_nested(truth, believed, Split::Midpoint, path, count, k).is_some()
 }
 
 /// The number of swaps [`execute_nested_along_path`] performs when every base
@@ -263,7 +299,10 @@ pub fn planned_path_base_pairs(hops: usize, k: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nested::nested_swap_cost;
+    use crate::physics::PhysicsModel;
     use proptest::prelude::*;
+    use qnet_sim::SimTime;
     use qnet_topology::NodeId;
 
     fn path_nodes(n: usize) -> Vec<NodeId> {
@@ -366,6 +405,17 @@ mod tests {
         // base_for(2) = 2·(1 + 1) = 4; total = 2·4 = 8.
         assert_eq!(planned_path_base_pairs(2, 2), 8);
         assert_eq!(planned_path_base_pairs(1, 3), 3);
+        // Charging the joining swaps too, the executed cost dominates the
+        // paper's recursion s(n), which charges only the lower levels.
+        for hops in 1..16 {
+            for d in [1.0, 1.5, 2.0, 3.0] {
+                let k = f64::ceil(d) as u64;
+                assert!(
+                    planned_path_swap_cost(hops, k) as f64 >= nested_swap_cost(hops, d),
+                    "{hops} hops, D = {d}"
+                );
+            }
+        }
     }
 
     /// A simple path through `len` distinct nodes of `0..n`, drawn from
@@ -390,7 +440,154 @@ mod tests {
         }
     }
 
+    /// Where the reference build splits: at the midpoint, greedily on the
+    /// trial inventory as it mutates, or greedily on a fixed believed view.
+    #[derive(Clone, Copy)]
+    enum ReferenceSplit<'a> {
+        Midpoint,
+        Trial,
+        Believed(&'a dyn CountView),
+    }
+
+    /// The greedy split rule, restated: the interior `j` with the deepest
+    /// `min(count(from, j), count(j, to))`, ties closest to the midpoint.
+    fn reference_deepest(counts: &dyn CountView, path: &[NodeId], from: usize, to: usize) -> usize {
+        let mid2 = from + to;
+        let mut best = from + 1;
+        let mut best_stock = 0u64;
+        for j in from + 1..to {
+            let stock = counts
+                .count(NodePair::new(path[from], path[j]))
+                .min(counts.count(NodePair::new(path[j], path[to])));
+            if stock > best_stock
+                || (stock == best_stock && (2 * j).abs_diff(mid2) < (2 * best).abs_diff(mid2))
+            {
+                best = j;
+                best_stock = stock;
+            }
+        }
+        best
+    }
+
+    /// The clone-and-build executor the overlay plan replaced: it swaps on
+    /// a trial inventory as it decides, and may leave the trial partially
+    /// mutated on failure.
+    fn reference_build(
+        trial: &mut Inventory,
+        split: ReferenceSplit<'_>,
+        path: &[NodeId],
+        from: usize,
+        to: usize,
+        need: u64,
+        k: u64,
+    ) -> Option<u64> {
+        let have = trial.count(NodePair::new(path[from], path[to]));
+        if have >= need {
+            return Some(0);
+        }
+        if to == from + 1 {
+            return None;
+        }
+        let missing = need - have;
+        let j = match split {
+            ReferenceSplit::Midpoint => from + (to - from) / 2,
+            ReferenceSplit::Trial => reference_deepest(&*trial, path, from, to),
+            ReferenceSplit::Believed(view) => reference_deepest(view, path, from, to),
+        };
+        let mut swaps = reference_build(trial, split, path, from, j, k * missing, k)?;
+        swaps += reference_build(trial, split, path, j, to, k * missing, k)?;
+        for _ in 0..missing {
+            trial.apply_swap(path[j], path[from], path[to], k, k).ok()?;
+            swaps += 1;
+        }
+        Some(swaps)
+    }
+
+    /// Atomic reference execution: build on a clone, keep it on success.
+    fn reference_execute(
+        inventory: &mut Inventory,
+        split: ReferenceSplit<'_>,
+        path: &[NodeId],
+        count: u64,
+        k: u64,
+    ) -> Option<u64> {
+        let mut trial = inventory.clone();
+        let swaps = reference_build(&mut trial, split, path, 0, path.len() - 1, count, k)?;
+        *inventory = trial;
+        Some(swaps)
+    }
+
     proptest! {
+        /// The overlay plan replayed onto the inventory does what the
+        /// clone-and-build reference does, under either split rule and
+        /// either source of greedy counts: the same verdict, the same swap
+        /// count and the same inventory, lot store included.
+        #[test]
+        fn nested_plan_replay_matches_the_clone_and_build_reference(
+            n in 3usize..9,
+            len in 2usize..9,
+            picks in collection::vec(0usize..9, 8),
+            edges in collection::vec(1u64..40, 8),
+            pools in collection::vec((0usize..9, 0usize..9, 1u64..4), 0..12),
+            seeded in collection::vec((0usize..8, 0usize..8, 1u64..4), 0..6),
+            believed_pools in collection::vec((0usize..9, 0usize..9, 1u64..4), 0..40),
+            limited in any::<bool>(),
+            limit in 1u64..6,
+            count in 1u64..3,
+            k in 1u64..3,
+            rule in 0u8..3,
+            lots in any::<bool>(),
+        ) {
+            let path = draw_path(n, len.min(n), &picks);
+            let mut inv = match limited {
+                false => Inventory::new(n),
+                true => Inventory::with_buffer_limit(n, limit),
+            };
+            if lots {
+                inv.enable_lot_tracking(&PhysicsModel::decoherent(5.0));
+            }
+            // Path edges are stocked first, one pair per edge per round so
+            // that a buffer limit splits each node between its two edges,
+            // and many builds succeed. Pools stocked at successive times
+            // carry distinct lots; the seeded pools join path nodes,
+            // mid-path pairs among them.
+            for round in 0..40 {
+                for (w, &copies) in path.windows(2).zip(&edges) {
+                    if round < copies {
+                        let _ = inv.add_pair(NodePair::new(w[0], w[1]));
+                    }
+                }
+            }
+            for (t, chunk) in pools.chunks(4).enumerate() {
+                inv.set_clock(SimTime::from_secs_f64(0.25 * t as f64));
+                stock(&mut inv, n, chunk);
+            }
+            for &(i, j, copies) in &seeded {
+                let (a, b) = (path[i % path.len()], path[j % path.len()]);
+                if a != b {
+                    for _ in 0..copies {
+                        let _ = inv.add_pair(NodePair::new(a, b));
+                    }
+                }
+            }
+            inv.set_clock(SimTime::from_secs_f64(2.0));
+            let mut believed = Inventory::new(n);
+            stock(&mut believed, n, &believed_pools);
+            let (split, reference_split) = match rule {
+                0 => (Split::Midpoint, ReferenceSplit::Midpoint),
+                1 => (Split::Deepest(None), ReferenceSplit::Trial),
+                _ => (
+                    Split::Deepest(Some(&believed)),
+                    ReferenceSplit::Believed(&believed),
+                ),
+            };
+            let mut reference = inv.clone();
+            let expected = reference_execute(&mut reference, reference_split, &path, count, k);
+            let got = plan_nested(&inv, &inv, split, &path, count, k).map(|plan| plan.commit(&mut inv));
+            prop_assert_eq!(got, expected);
+            prop_assert_eq!(inv, reference);
+        }
+
         /// Without a buffer limit, a nested build that succeeds keeps
         /// succeeding when pools between path nodes gain pairs: a failed
         /// build can only be revived by such a gain.

@@ -13,7 +13,7 @@
 //! balancer helps it sooner. Under global knowledge there are no ages and
 //! the discipline degrades to exactly the oblivious balancer.
 
-use super::{oblivious::ObliviousPolicy, PolicyCtx, PolicyId, PolicyParams};
+use super::{oblivious::ObliviousPolicy, PolicyCtx, PolicyId};
 use super::{RequestAction, SwapPolicy};
 use crate::balancer::{BalancerPolicy, CountView, SwapCandidate};
 use crate::control::KnowledgeView;
@@ -21,9 +21,9 @@ use crate::workload::ConsumptionRequest;
 use qnet_sim::SimTime;
 use qnet_topology::{NodeId, NodePair};
 
-/// Default decay constant τ (seconds). Sized to the gossip refresh periods
-/// the §6 sweeps use (0.25–4 s): a row one default-τ old keeps ~37 % of
-/// its believed count.
+/// The decay constant τ (seconds). Sized to the gossip refresh periods
+/// the §6 sweeps use (0.25–4 s): a row one τ old keeps ~37 % of its
+/// believed count.
 pub const DEFAULT_TAU_S: f64 = 2.0;
 
 /// [`KnowledgeView`] overlay that decays each believed count by the age of
@@ -57,46 +57,16 @@ impl CountView for AgeDiscountedView<'_> {
 }
 
 /// The gossip-aware balancing discipline: oblivious max-min balancing over
-/// age-discounted believed counts.
-#[derive(Debug)]
+/// age-discounted believed counts, with decay constant [`DEFAULT_TAU_S`].
+#[derive(Debug, Default)]
 pub struct GossipAwarePolicy {
     balancer: BalancerPolicy,
-    tau_s: f64,
-}
-
-impl Default for GossipAwarePolicy {
-    fn default() -> Self {
-        GossipAwarePolicy {
-            balancer: BalancerPolicy,
-            tau_s: DEFAULT_TAU_S,
-        }
-    }
 }
 
 impl GossipAwarePolicy {
-    /// A fresh instance with the default decay constant.
+    /// A fresh instance.
     pub fn new() -> Self {
         GossipAwarePolicy::default()
-    }
-
-    /// Construct from serialized registry parameters. Recognised keys:
-    /// `"tau_s": <positive seconds>`.
-    pub fn from_params(params: &PolicyParams) -> Self {
-        let tau_s = params
-            .params
-            .get_field("tau_s")
-            .and_then(|v| v.as_f64())
-            .filter(|t| *t > 0.0)
-            .unwrap_or(DEFAULT_TAU_S);
-        GossipAwarePolicy {
-            balancer: BalancerPolicy,
-            tau_s,
-        }
-    }
-
-    /// The configured decay constant τ, seconds.
-    pub fn tau_s(&self) -> f64 {
-        self.tau_s
     }
 }
 
@@ -115,7 +85,7 @@ impl SwapPolicy for GossipAwarePolicy {
                 let view = ctl.view(node);
                 let d = ctx.config.distillation_overhead();
                 let overhead = move |_: NodePair| d;
-                let discounted = AgeDiscountedView::new(view, ctx.now, self.tau_s);
+                let discounted = AgeDiscountedView::new(view, ctx.now, DEFAULT_TAU_S);
                 let candidate =
                     self.balancer
                         .find_preferable_swap(ctx.inventory, &discounted, node, &overhead);
@@ -148,7 +118,6 @@ mod tests {
     use super::*;
     use crate::inventory::Inventory;
     use qnet_topology::NodeId;
-    use serde::Value;
 
     fn pair(a: u32, b: u32) -> NodePair {
         NodePair::new(NodeId(a), NodeId(b))
@@ -242,20 +211,5 @@ mod tests {
         // Determinism: same seed, same believed world, same metrics.
         let again = run(PolicyId::GOSSIP_AWARE);
         assert_eq!(aware, again);
-    }
-
-    #[test]
-    fn params_select_tau() {
-        let defaults = GossipAwarePolicy::from_params(&PolicyParams::default());
-        assert_eq!(defaults.tau_s(), DEFAULT_TAU_S);
-        let custom = GossipAwarePolicy::from_params(&PolicyParams {
-            params: Value::Map(vec![("tau_s".to_string(), Value::F64(0.5))]),
-        });
-        assert_eq!(custom.tau_s(), 0.5);
-        // Nonsense values fall back to the default.
-        let bogus = GossipAwarePolicy::from_params(&PolicyParams {
-            params: Value::Map(vec![("tau_s".to_string(), Value::F64(-3.0))]),
-        });
-        assert_eq!(bogus.tau_s(), DEFAULT_TAU_S);
     }
 }

@@ -136,8 +136,8 @@ pub enum QueueDiscipline {
 /// substrate delegates to.
 ///
 /// Implementations must be deterministic functions of the context they are
-/// handed (plus their own construction parameters) — the reproducibility
-/// guarantees of the whole stack rest on that.
+/// handed (plus their own state) — the reproducibility guarantees of the
+/// whole stack rest on that.
 pub trait SwapPolicy: fmt::Debug + Send {
     /// The registry identity of this policy.
     fn id(&self) -> PolicyId;
@@ -297,15 +297,8 @@ impl PolicyId {
         })
     }
 
-    /// Instantiate this policy through the registry with default
-    /// parameters.
+    /// Instantiate this policy through the registry.
     pub fn instantiate(&self) -> Box<dyn SwapPolicy> {
-        self.instantiate_with(&PolicyParams::default())
-    }
-
-    /// Instantiate this policy through the registry with explicit
-    /// serialized parameters.
-    pub fn instantiate_with(&self, params: &PolicyParams) -> Box<dyn SwapPolicy> {
         with_registry(|r| {
             let entry = r.entry(self.name).unwrap_or_else(|| {
                 panic!(
@@ -314,7 +307,7 @@ impl PolicyId {
                     self.name
                 )
             });
-            (entry.constructor)(params)
+            (entry.constructor)()
         })
     }
 }
@@ -357,28 +350,8 @@ impl Deserialize for PolicyId {
 // Registry
 // ---------------------------------------------------------------------------
 
-/// Serialized construction parameters handed to a policy constructor.
-///
-/// The `campaign` CLI and `ExperimentConfig` select policies by *name*; any
-/// knobs a policy exposes travel as a [`serde::Value`] tree (`Null` means
-/// "defaults"). See [`greedy::GreedyOrderPolicy`] for a constructor that
-/// reads one.
-#[derive(Debug, Clone)]
-pub struct PolicyParams {
-    /// The parameter tree (`Value::Null` for defaults).
-    pub params: Value,
-}
-
-impl Default for PolicyParams {
-    fn default() -> Self {
-        PolicyParams {
-            params: Value::Null,
-        }
-    }
-}
-
 /// A policy constructor: builds a fresh policy instance for one run.
-pub type PolicyConstructor = fn(&PolicyParams) -> Box<dyn SwapPolicy>;
+pub type PolicyConstructor = fn() -> Box<dyn SwapPolicy>;
 
 /// Everything the registry knows about one policy.
 #[derive(Clone)]
@@ -429,7 +402,7 @@ impl PolicyRegistry {
                     aliases: &["path-oblivious"],
                     family: PolicyFamily::Oblivious,
                     summary: "path-oblivious max-min balancing (paper §4)",
-                    constructor: |_| Box::new(oblivious::ObliviousPolicy::new()),
+                    constructor: || Box::new(oblivious::ObliviousPolicy::new()),
                 },
                 PolicyEntry {
                     name: "hybrid",
@@ -437,7 +410,7 @@ impl PolicyRegistry {
                     aliases: &[],
                     family: PolicyFamily::Oblivious,
                     summary: "oblivious balancing + consumer-side repair over seeded pairs (§6)",
-                    constructor: |_| Box::new(hybrid::HybridPolicy::new()),
+                    constructor: || Box::new(hybrid::HybridPolicy::new()),
                 },
                 PolicyEntry {
                     name: "planned",
@@ -445,7 +418,7 @@ impl PolicyRegistry {
                     aliases: &["planned-co", "connection-oriented"],
                     family: PolicyFamily::Planned,
                     summary: "connection-oriented nested swapping along each request's path",
-                    constructor: |_| Box::new(planned::PlannedConnectionOrientedPolicy::new()),
+                    constructor: || Box::new(planned::PlannedConnectionOrientedPolicy::new()),
                 },
                 PolicyEntry {
                     name: "connectionless",
@@ -453,7 +426,7 @@ impl PolicyRegistry {
                     aliases: &["planned-cl"],
                     family: PolicyFamily::Planned,
                     summary: "connectionless planned swapping, no head-of-line blocking",
-                    constructor: |_| Box::new(planned::PlannedConnectionlessPolicy::new()),
+                    constructor: || Box::new(planned::PlannedConnectionlessPolicy::new()),
                 },
                 PolicyEntry {
                     name: "greedy",
@@ -462,7 +435,7 @@ impl PolicyRegistry {
                     family: PolicyFamily::Planned,
                     summary: "greedy nested-swap ordering exploiting seeded mid-path pairs \
                               (à la Mai et al.)",
-                    constructor: |params| Box::new(greedy::GreedyOrderPolicy::from_params(params)),
+                    constructor: || Box::new(greedy::GreedyOrderPolicy::new()),
                 },
                 PolicyEntry {
                     name: "gossip-aware",
@@ -471,9 +444,7 @@ impl PolicyRegistry {
                     family: PolicyFamily::Oblivious,
                     summary: "oblivious balancing over age-discounted believed counts \
                               (exp(-age/τ) decay)",
-                    constructor: |params| {
-                        Box::new(gossip_aware::GossipAwarePolicy::from_params(params))
-                    },
+                    constructor: || Box::new(gossip_aware::GossipAwarePolicy::new()),
                 },
             ],
         }
@@ -606,7 +577,7 @@ mod tests {
     #[test]
     fn every_builtin_instantiates() {
         for entry in registered_policies() {
-            let policy = (entry.constructor)(&PolicyParams::default());
+            let policy = (entry.constructor)();
             assert_eq!(policy.id().name(), entry.name);
         }
     }
@@ -620,7 +591,7 @@ mod tests {
             aliases: &[],
             family: PolicyFamily::Oblivious,
             summary: "",
-            constructor: |_| Box::new(oblivious::ObliviousPolicy::new()),
+            constructor: || Box::new(oblivious::ObliviousPolicy::new()),
         };
         assert!(registry.register(dup).is_err());
         let alias_clash = PolicyEntry {
@@ -629,7 +600,7 @@ mod tests {
             aliases: &["hybrid"],
             family: PolicyFamily::Oblivious,
             summary: "",
-            constructor: |_| Box::new(oblivious::ObliviousPolicy::new()),
+            constructor: || Box::new(oblivious::ObliviousPolicy::new()),
         };
         assert!(registry.register(alias_clash).is_err());
         let ok = PolicyEntry {
@@ -638,7 +609,7 @@ mod tests {
             aliases: &[],
             family: PolicyFamily::Planned,
             summary: "a custom policy",
-            constructor: |_| Box::new(planned::PlannedConnectionOrientedPolicy::new()),
+            constructor: || Box::new(planned::PlannedConnectionOrientedPolicy::new()),
         };
         let id = registry.register(ok).unwrap();
         assert_eq!(registry.resolve("fresh2"), Some(id));

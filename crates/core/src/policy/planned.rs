@@ -19,14 +19,15 @@ use std::collections::BTreeMap;
 /// vectors are pinned here. Cache misses resolve through the world's
 /// [`qnet_topology::PathOracle`] (shared BFS rows, `O(path)` reconstruction)
 /// instead of a fresh `O(V + E)` BFS per pair. `None` records a
-/// disconnected pair (also worth remembering).
+/// disconnected pair (also worth remembering). The greedy discipline
+/// ([`super::greedy`]) shares it.
 #[derive(Debug, Default)]
-struct PathCache {
+pub(super) struct PathCache {
     paths: BTreeMap<NodePair, Option<Vec<NodeId>>>,
 }
 
 impl PathCache {
-    fn nodes(&mut self, ctx: &PolicyCtx<'_>, pair: NodePair) -> Option<&[NodeId]> {
+    pub(super) fn nodes(&mut self, ctx: &PolicyCtx<'_>, pair: NodePair) -> Option<&[NodeId]> {
         self.paths
             .entry(pair)
             .or_insert_with(|| {

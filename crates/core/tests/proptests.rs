@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use qnet_core::balancer::{BalancerPolicy, CountView};
 use qnet_core::control::{PropagationDelays, StaleControl, PROCESSING_DELAY_S};
 use qnet_core::inventory::{Inventory, InventoryError, PairLot};
-use qnet_core::nested::{nested_swap_cost, nested_swap_cost_with_joins};
+use qnet_core::nested::nested_swap_cost;
 use qnet_core::physics::{ConsumeOrder, PhysicsModel};
 use qnet_core::planned::{execute_nested_along_path, planned_path_swap_cost};
 use qnet_core::workload::{PairSelection, WorkloadSpec};
@@ -179,15 +179,15 @@ proptest! {
     }
 
     /// The paper's nested cost is monotone in both arguments, dominated by
-    /// the with-joins variant, and both match the closed forms at powers of
-    /// two.
+    /// the executed planned-path cost (which also charges the joining
+    /// swaps), and matches the closed form at powers of two.
     #[test]
     fn nested_cost_properties(n in 1usize..64, d in 1.0f64..4.0) {
         let base = nested_swap_cost(n, d);
         prop_assert!(base >= 0.0);
         prop_assert!(nested_swap_cost(n + 1, d) + 1e-12 >= base);
         prop_assert!(nested_swap_cost(n, d + 0.5) + 1e-12 >= base);
-        prop_assert!(nested_swap_cost_with_joins(n, d) + 1e-12 >= base);
+        prop_assert!(planned_path_swap_cost(n, d.ceil() as u64) as f64 + 1e-12 >= base);
         if n.is_power_of_two() && n >= 2 {
             let levels = n.trailing_zeros() as i32;
             // s(2^k) = 2^{k-1} · D^k.

@@ -639,7 +639,7 @@
 //!     aliases: &[],
 //!     family: PolicyFamily::Planned,
 //!     summary: "never swaps; serves neighbor requests only",
-//!     constructor: |_params| Box::new(DirectOnly),
+//!     constructor: || Box::new(DirectOnly),
 //! })
 //! .expect("name is free");
 //!

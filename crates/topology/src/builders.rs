@@ -13,51 +13,12 @@
 
 use crate::connectivity::UnionFind;
 use crate::graph::{Graph, NodeId};
-use qnet_sim_shim::SimRng;
+use qnet_sim::SimRng;
 use serde::{Deserialize, Serialize};
 
-// qnet-topology deliberately does not depend on qnet-sim (it sits below it in
-// the layering); it only needs a deterministic RNG. To avoid a dependency
-// cycle we re-implement the tiny seeding shim here on top of rand_chacha.
-mod qnet_sim_shim {
-    use rand::{Rng, SeedableRng};
-    use rand_chacha::ChaCha12Rng;
-
-    /// Minimal deterministic RNG used by the random topology builders.
-    #[derive(Debug, Clone)]
-    pub struct SimRng(ChaCha12Rng);
-
-    impl SimRng {
-        /// Seeded constructor.
-        pub fn new(seed: u64) -> Self {
-            SimRng(ChaCha12Rng::seed_from_u64(seed))
-        }
-        /// Uniform index in `0..n`.
-        pub fn index(&mut self, n: usize) -> usize {
-            self.0.gen_range(0..n)
-        }
-        /// Bernoulli(p).
-        pub fn chance(&mut self, p: f64) -> bool {
-            if p <= 0.0 {
-                false
-            } else if p >= 1.0 {
-                true
-            } else {
-                self.0.gen::<f64>() < p
-            }
-        }
-        /// Fisher–Yates shuffle.
-        pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-            if xs.len() < 2 {
-                return;
-            }
-            for i in (1..xs.len()).rev() {
-                let j = self.0.gen_range(0..=i);
-                xs.swap(i, j);
-            }
-        }
-    }
-}
+// The random builders draw from the simulator's seeded RNG: qnet-sim sits
+// below qnet-topology in the layering (it depends only on serde and rand),
+// so every random graph and every simulation share one stream definition.
 
 /// A named topology recipe. `build` turns a recipe plus a seed into a
 /// concrete [`Graph`]; deterministic recipes ignore the seed.

@@ -10,8 +10,13 @@
 //!    the campaign CLI parses `--modes`, serializes through
 //!    `ExperimentConfig` JSON, and appears in the `campaign
 //!    --list-policies` output.
+//! 3. **Planned-family golden**: `tests/data/golden_planned_campaign.jsonl`
+//!    pins the nested-swap executor through the planned, connectionless
+//!    and greedy disciplines under global and stale gossip knowledge,
+//!    missed swaps included.
 
-use qnet::campaign::policy_listing;
+use qnet::campaign::{aggregate, policy_listing, run_campaign, to_jsonl_string};
+use qnet::core::classical::KnowledgeModel;
 use qnet::core::policy::registered_policies;
 use qnet::prelude::*;
 use qnet_topology::Topology;
@@ -130,8 +135,6 @@ fn every_registered_policy_appears_in_list_policies_output() {
 
 #[test]
 fn greedy_joins_the_campaign_grid_axis() {
-    use qnet::campaign::{aggregate, run_campaign};
-
     let grid = ScenarioGrid::new(5)
         .with_topologies(vec![Topology::Cycle { nodes: 7 }])
         .with_modes(vec![PolicyId::OBLIVIOUS, PolicyId::GREEDY])
@@ -147,4 +150,42 @@ fn greedy_joins_the_campaign_grid_axis() {
         .ratios
         .iter()
         .any(|r| r.denominator_mode == PolicyId::GREEDY));
+}
+
+/// The exact grid `campaign --topologies cycle:16,rand-grid:4 --modes
+/// planned,connectionless,greedy --dist 1,2 --knowledge global,gossip:1:2
+/// --requests 20 --pairs 8 --replicates 2 --horizon 4000 --seed 3` built
+/// when the planned golden file was captured.
+fn golden_planned_grid() -> ScenarioGrid {
+    ScenarioGrid::new(3)
+        .with_topologies(vec![
+            Topology::Cycle { nodes: 16 },
+            Topology::RandomConnectedGrid { side: 4 },
+        ])
+        .with_modes(vec![
+            PolicyId::PLANNED,
+            PolicyId::CONNECTIONLESS,
+            PolicyId::GREEDY,
+        ])
+        .with_distillations(vec![1.0, 2.0])
+        .with_knowledge(vec![
+            KnowledgeModel::Global,
+            KnowledgeModel::parse("gossip:1:2").unwrap(),
+        ])
+        .with_workloads(vec![WorkloadSpec::closed_loop(0, 8, 20)])
+        .with_replicates(2)
+        .with_horizon_s(4_000.0)
+}
+
+#[test]
+fn planned_family_campaign_reproduces_the_golden_bytes() {
+    let grid = golden_planned_grid();
+    assert_eq!(grid.scenario_count(), 48);
+    let report = aggregate(&grid, &run_campaign(&grid, &RunnerConfig::default()));
+    let jsonl = to_jsonl_string(&report);
+    let golden = include_str!("data/golden_planned_campaign.jsonl");
+    assert_eq!(
+        jsonl, golden,
+        "planned-family campaign bytes drifted from the golden capture"
+    );
 }
