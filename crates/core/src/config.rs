@@ -10,7 +10,7 @@ use crate::physics::PhysicsModel;
 use crate::rates::RateMatrices;
 use qnet_quantum::decoherence::DecoherenceModel;
 use qnet_quantum::distill::{overhead_factor, DistillationProtocol};
-use qnet_topology::{FabricSpec, Graph, LinkFabric, NodePair, Topology};
+use qnet_topology::{FabricSpec, Graph, LinkFabric, Topology};
 use serde::{Deserialize, Serialize};
 
 /// How the distillation overhead `D_{x,y}` is specified.
@@ -235,13 +235,6 @@ impl NetworkConfig {
         let graph = self.build_graph();
         RateMatrices::uniform_generation(&graph, self.generation_rate)
             .with_qec_thinning(self.qec_overhead)
-    }
-
-    /// Distillation overhead for a specific pair. With the current specs this
-    /// is uniform, but the accessor keeps call sites ready for per-pair
-    /// overheads (paper §3.2 allows `D_{x,y}` to vary).
-    pub fn pair_distillation_overhead(&self, _pair: NodePair) -> f64 {
-        self.distillation_overhead()
     }
 }
 

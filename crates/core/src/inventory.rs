@@ -24,9 +24,6 @@
 //! and restarts the product's clock. When the store is disabled (ideal
 //! physics — the default) none of this code runs and behaviour is
 //! bit-identical to the count-space model.
-//!
-//! Serialization intentionally covers only the count-space state (the
-//! legacy byte layout); the lot store is runtime-only.
 
 use crate::balancer::CountView;
 use crate::physics::{ConsumeOrder, PhysicsModel};
@@ -34,7 +31,7 @@ use qnet_quantum::decoherence::DecoherenceModel;
 use qnet_quantum::swap::swap_werner_fidelity;
 use qnet_sim::{SimDuration, SimTime};
 use qnet_topology::{CountMatrix, CountRow, NodeId, NodePair};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Reasons an inventory mutation can be refused.
@@ -340,15 +337,12 @@ impl LotStore {
 }
 
 /// The global Bell-pair count state.
-///
-/// Serialization (manual impls below) covers exactly the legacy count-space
-/// fields; the runtime-only lot store is rebuilt per run, never persisted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Inventory {
     /// `C_x(y)` for every pair, with each row's minimum kept current on
     /// every count mutation, so a swap scan can skip a whole beneficiary
     /// row without reading it (the row prune in the balancer's
-    /// `# The scan` docs). Serialized as the bare count matrix.
+    /// `# The scan` docs).
     counts: CountMatrix,
     /// Number of stored qubit halves per node (each stored pair contributes
     /// one half to each endpoint).
@@ -365,52 +359,8 @@ pub struct Inventory {
     /// mutation. The swap-scan candidate search walks this contiguous slice
     /// in O(degree) — counts inline, so no random probes into the N²/2
     /// matrix — the structure that makes |N| ≈ 10³ swap scans tractable.
-    /// Runtime state derived from `counts`; never serialized.
+    /// Derived from `counts`.
     peer_index: Vec<Vec<(NodeId, u64)>>,
-}
-
-impl Serialize for Inventory {
-    fn to_value(&self) -> Value {
-        // The legacy (pre-physics) byte layout: count-space state only.
-        Value::Map(vec![
-            ("counts".to_string(), self.counts.to_value()),
-            ("node_load".to_string(), self.node_load.to_value()),
-            ("buffer_limit".to_string(), self.buffer_limit.to_value()),
-            ("total_added".to_string(), self.total_added.to_value()),
-            ("total_removed".to_string(), self.total_removed.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Inventory {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        if value.as_map().is_none() {
-            return Err(DeError::expected("Inventory object", value));
-        }
-        let field = |name: &str| value.get_field(name).unwrap_or(&Value::Null);
-        let counts: CountMatrix = Deserialize::from_value(field("counts"))?;
-        let node_load: Vec<u64> = Deserialize::from_value(field("node_load"))?;
-        // The peer index is runtime state derived from the counts.
-        let mut peer_index: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); node_load.len()];
-        for (pair, &count) in counts.iter() {
-            if count > 0 {
-                peer_index[pair.lo().index()].push((pair.hi(), count));
-                peer_index[pair.hi().index()].push((pair.lo(), count));
-            }
-        }
-        for peers in &mut peer_index {
-            peers.sort_unstable_by_key(|&(p, _)| p);
-        }
-        Ok(Inventory {
-            counts,
-            node_load,
-            buffer_limit: Deserialize::from_value(field("buffer_limit"))?,
-            total_added: Deserialize::from_value(field("total_added"))?,
-            total_removed: Deserialize::from_value(field("total_removed"))?,
-            lots: None,
-            peer_index,
-        })
-    }
 }
 
 impl Inventory {
@@ -1051,19 +1001,6 @@ mod tests {
     }
 
     #[test]
-    fn serialization_keeps_the_legacy_count_space_layout() {
-        let mut plain = Inventory::new(3);
-        plain.add_pair(pair(0, 1)).unwrap();
-        let mut tracked = decoherent_inventory(3, 1.0);
-        tracked.add_pair(pair(0, 1)).unwrap();
-        // The lot store never leaks into the serialized form.
-        assert_eq!(plain.to_value(), tracked.to_value());
-        let back = Inventory::from_value(&plain.to_value()).unwrap();
-        assert_eq!(back.count(pair(0, 1)), 1);
-        assert!(!back.tracks_lots());
-    }
-
-    #[test]
     fn peer_index_tracks_zero_nonzero_transitions() {
         let mut inv = Inventory::new(5);
         assert!(inv.peer_counts(NodeId(0)).is_empty());
@@ -1103,20 +1040,6 @@ mod tests {
         assert_eq!(aged.peer_counts(NodeId(0)), &[(NodeId(1), 1)]);
         aged.purge_expired(SimDuration::from_secs(5));
         assert!(aged.peer_counts(NodeId(0)).is_empty());
-    }
-
-    #[test]
-    fn peer_index_is_rebuilt_on_deserialize() {
-        let mut inv = Inventory::new(4);
-        inv.add_pair(pair(0, 2)).unwrap();
-        inv.add_pair(pair(1, 2)).unwrap();
-        inv.add_pair(pair(1, 2)).unwrap();
-        let back = Inventory::from_value(&inv.to_value()).unwrap();
-        assert_eq!(
-            back.peer_counts(NodeId(2)),
-            &[(NodeId(0), 1), (NodeId(1), 2)]
-        );
-        assert_eq!(back, inv);
     }
 
     #[test]

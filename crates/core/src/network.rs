@@ -34,7 +34,7 @@ use crate::policy::{PolicyCtx, QueueDiscipline, RequestAction, SwapPolicy, WaitC
 use crate::workload::{ArrivalStream, ConsumptionRequest, Workload};
 use qnet_sim::{EventQueue, PoissonProcess, SimDuration, SimRng, SimTime, World};
 use qnet_topology::{EdgeIndex, Graph, NodeId, NodePair, PathOracle};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Events driving the network model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,72 +88,16 @@ pub enum NetEvent {
 /// million-request horizon.
 pub const ARRIVAL_BATCH: usize = 1024;
 
-/// The pending-request store.
-///
-/// `Fifo` is the exact arrival-order deque: head-of-line draining and
-/// active-hook any-order draining walk it directly. Under head-of-line
-/// draining a blocked head is not re-offered while it holds a wait
-/// certificate ([`WaitCertificate`]); such a skipped offer would have
-/// returned `Wait` without side effects, so the FIFO offer sequence is
-/// observable only through the stale telemetry a skipped offer replays.
-/// `Indexed` keys requests by consumer pair and is used only when the
-/// policy declares its blocked hook inert
-/// ([`SwapPolicy::blocked_hook_is_inert`]) under any-order draining:
-/// re-offering a blocked request is then provably a no-op, so a drain can
-/// jump straight to satisfiable pairs instead of re-walking every blocked
-/// request — O(pairs) per satisfaction instead of O(pending) per event.
-#[derive(Debug)]
-enum PendingQueue {
-    Fifo(VecDeque<ConsumptionRequest>),
-    Indexed {
-        by_pair: BTreeMap<NodePair, VecDeque<ConsumptionRequest>>,
-        len: usize,
-    },
-}
-
-impl PendingQueue {
-    fn for_policy(policy: &dyn SwapPolicy) -> Self {
-        if policy.queue_discipline() == QueueDiscipline::AnyOrder && policy.blocked_hook_is_inert()
-        {
-            PendingQueue::Indexed {
-                by_pair: BTreeMap::new(),
-                len: 0,
-            }
-        } else {
-            PendingQueue::Fifo(VecDeque::new())
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            PendingQueue::Fifo(q) => q.len(),
-            PendingQueue::Indexed { len, .. } => *len,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn push_back(&mut self, request: ConsumptionRequest) {
-        match self {
-            PendingQueue::Fifo(q) => q.push_back(request),
-            PendingQueue::Indexed { by_pair, len } => {
-                by_pair.entry(request.pair).or_default().push_back(request);
-                *len += 1;
-            }
-        }
-    }
-
-    /// The FIFO deque (head-of-line and exact any-order paths only).
-    fn fifo(&mut self) -> &mut VecDeque<ConsumptionRequest> {
-        match self {
-            PendingQueue::Fifo(q) => q,
-            PendingQueue::Indexed { .. } => {
-                unreachable!("indexed store only drives inert any-order draining")
-            }
-        }
-    }
+/// What serving one pending request did (see
+/// [`QuantumNetworkWorld::serve`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Served {
+    /// Its pairs were consumed: a satisfaction or a fidelity rejection.
+    Consumed,
+    /// The policy dropped it.
+    Dropped,
+    /// It stays pending.
+    Blocked,
 }
 
 /// The simulation substrate: policy-agnostic world state plus the attached
@@ -179,7 +123,10 @@ pub struct QuantumNetworkWorld {
     /// the reference drain the certificates are checked against.
     #[cfg(test)]
     always_reoffer: bool,
-    pending: PendingQueue,
+    /// Pending requests in arrival order. Head-of-line draining offers
+    /// only the front; any-order draining offers each once per drain and
+    /// rotates the blocked ones back, keeping their order.
+    pending: VecDeque<ConsumptionRequest>,
     /// Requests scheduled as arrival events but not yet delivered.
     arrivals_outstanding: usize,
     /// Lazily generated arrivals not yet scheduled (open-loop streaming
@@ -281,7 +228,6 @@ impl QuantumNetworkWorld {
             );
         }
         let rng = SimRng::new(seed).derive("network");
-        let pending = PendingQueue::for_policy(policy.as_ref());
         let inert_blocked_hook = policy.blocked_hook_is_inert();
         let oracle = PathOracle::new(&graph);
         let control = match knowledge {
@@ -320,7 +266,7 @@ impl QuantumNetworkWorld {
             certificate: WaitCertificate::new(n, config.buffer_limit.is_some()),
             #[cfg(test)]
             always_reoffer: false,
-            pending,
+            pending: VecDeque::new(),
             arrivals_outstanding: 0,
             arrival_stream: None,
             inert_blocked_hook,
@@ -370,11 +316,6 @@ impl QuantumNetworkWorld {
     /// after the built-in metrics recorder.
     pub fn add_observer(&mut self, observer: Box<dyn RunObserver>) {
         self.extra_observers.push(observer);
-    }
-
-    /// Detach and return the extra observers (for post-run inspection).
-    pub fn take_observers(&mut self) -> Vec<Box<dyn RunObserver>> {
-        std::mem::take(&mut self.extra_observers)
     }
 
     /// Fire an observer hook on the metrics recorder and every extra
@@ -624,155 +565,72 @@ impl QuantumNetworkWorld {
     fn try_satisfy(&mut self, now: SimTime) {
         match self.policy.queue_discipline() {
             QueueDiscipline::HeadOfLine => self.try_satisfy_head_of_line(now),
-            QueueDiscipline::AnyOrder => match &self.pending {
-                PendingQueue::Indexed { .. } => self.try_satisfy_any_order_indexed(now),
-                PendingQueue::Fifo(_) => self.try_satisfy_any_order(now),
-            },
+            QueueDiscipline::AnyOrder => self.try_satisfy_any_order(now),
         }
     }
 
+    /// Serve one pending request: consume its `k` pairs if the inventory
+    /// holds them; otherwise ask the policy through `offer` (the
+    /// discipline's way of offering a blocked request) and consume if a
+    /// repair made them available.
+    #[inline]
+    fn serve(
+        &mut self,
+        now: SimTime,
+        request: &ConsumptionRequest,
+        offer: impl FnOnce(&mut Self, SimTime, &ConsumptionRequest) -> RequestAction,
+    ) -> Served {
+        let k = self.config.pairs_per_distilled();
+        let mut repair_swaps = 0u64;
+        if self.inventory.count(request.pair) < k {
+            // An inert hook would return `Wait` without side effects:
+            // skip the vtable call and the context construction.
+            if self.inert_blocked_hook {
+                return Served::Blocked;
+            }
+            match offer(self, now, request) {
+                RequestAction::Wait => return Served::Blocked,
+                RequestAction::Drop => {
+                    self.notify(|o| o.on_request_dropped(now, request));
+                    return Served::Dropped;
+                }
+                RequestAction::Repaired(swaps) => {
+                    repair_swaps = swaps;
+                    self.account_repair_swaps(now, swaps);
+                    if self.inventory.count(request.pair) < k {
+                        return Served::Blocked;
+                    }
+                }
+            }
+        }
+        self.consume(now, *request, k, repair_swaps);
+        Served::Consumed
+    }
+
     /// Head-of-line draining: only the oldest pending request may proceed.
+    /// A blocked head is offered through [`Self::offer_head`], so it is not
+    /// re-offered while its wait certificate holds. Consuming or dropping
+    /// the head changes the head, and any certificate goes with it.
     fn try_satisfy_head_of_line(&mut self, now: SimTime) {
-        loop {
-            let Some(head) = self.pending.fifo().front().copied() else {
-                return;
-            };
-            let k = self.config.pairs_per_distilled();
-            let mut repair_swaps = 0u64;
-
-            if self.inventory.count(head.pair) < k {
-                // An inert hook would return `Wait` without side effects:
-                // skip the vtable call and the context construction.
-                if self.inert_blocked_hook {
-                    return;
-                }
-                match self.offer_head(now, &head) {
-                    RequestAction::Wait => return,
-                    RequestAction::Drop => {
-                        self.pending.fifo().pop_front();
-                        self.certificate.release();
-                        self.notify(|o| o.on_request_dropped(now, &head));
-                        continue;
-                    }
-                    RequestAction::Repaired(swaps) => {
-                        repair_swaps = swaps;
-                        self.account_repair_swaps(now, swaps);
-                    }
-                }
-            }
-
-            if self.inventory.count(head.pair) < k {
+        while let Some(head) = self.pending.front().copied() {
+            if self.serve(now, &head, Self::offer_head) == Served::Blocked {
                 return;
             }
-            // Consumption under head-of-line takes the head, so the head
-            // changes and any certificate goes with it.
-            self.consume(now, head, k, repair_swaps);
-            self.pending.fifo().pop_front();
+            self.pending.pop_front();
             self.certificate.release();
         }
     }
 
-    /// Any-order draining through the per-pair index (inert-hook policies
-    /// only): repeatedly satisfy the lowest-sequence request among pairs
-    /// whose inventory covers `k`. Because consumption only ever removes
-    /// inventory, a blocked request can never become satisfiable during the
-    /// drain, so this greedy min-sequence walk consumes exactly the
-    /// requests — in exactly the order — the full-queue walk of
-    /// [`Self::try_satisfy_any_order`] would, while never touching blocked
-    /// requests (whose offers would be inert no-ops).
-    fn try_satisfy_any_order_indexed(&mut self, now: SimTime) {
-        let k = self.config.pairs_per_distilled();
-        loop {
-            let PendingQueue::Indexed { by_pair, len } = &mut self.pending else {
-                return;
-            };
-            let mut best: Option<NodePair> = None;
-            let mut best_seq = u64::MAX;
-            for (&pair, queue) in by_pair.iter() {
-                let Some(front) = queue.front() else {
-                    continue;
-                };
-                if front.sequence < best_seq && self.inventory.count(pair) >= k {
-                    best_seq = front.sequence;
-                    best = Some(pair);
-                }
-            }
-            let Some(pair) = best else {
-                return;
-            };
-            let queue = by_pair.get_mut(&pair).expect("selected above");
-            let req = queue.pop_front().expect("non-empty");
-            if queue.is_empty() {
-                by_pair.remove(&pair);
-            }
-            *len -= 1;
-            self.consume(now, req, k, 0);
-        }
-    }
-
-    /// Targeted drain after an event that increased exactly one pair's
-    /// inventory. On the indexed store this skips the walk over every
-    /// pending pair: the drain loop maintains the invariant that every
-    /// pending pair's count is below `k` when it returns, and a generation
-    /// or swap raises a single pair's count, so only *that* pair can have
-    /// become satisfiable — and its queue drains in FIFO order, which is
-    /// exactly the min-sequence order the full walk would pick while it is
-    /// the only satisfiable pair. O(drained) instead of O(pending pairs)
-    /// per generation/swap event. Falls back to the policy's full
-    /// discipline on the FIFO store; under head-of-line draining that
-    /// re-offers the blocked head only when the gain (or an earlier change)
-    /// voided its wait certificate, and otherwise replays the stale
-    /// telemetry the skipped offer would have recorded.
-    fn try_satisfy_after_gain(&mut self, now: SimTime, pair: NodePair) {
-        if !matches!(self.pending, PendingQueue::Indexed { .. }) {
-            return self.try_satisfy(now);
-        }
-        let k = self.config.pairs_per_distilled();
-        while self.inventory.count(pair) >= k {
-            let PendingQueue::Indexed { by_pair, len } = &mut self.pending else {
-                unreachable!("checked above; the store variant never changes");
-            };
-            let Some(queue) = by_pair.get_mut(&pair) else {
-                return;
-            };
-            let req = queue.pop_front().expect("indexed queues are non-empty");
-            if queue.is_empty() {
-                by_pair.remove(&pair);
-            }
-            *len -= 1;
-            self.consume(now, req, k, 0);
-        }
-    }
-
-    /// Any-order draining: offer every pending request, in sequence order,
-    /// satisfying any whose pairs are (or can be made) available.
+    /// Any-order draining: offer every pending request once, in arrival
+    /// order, satisfying any whose pairs are (or can be made) available;
+    /// the blocked ones rotate back to the tail in their order.
     fn try_satisfy_any_order(&mut self, now: SimTime) {
-        let k = self.config.pairs_per_distilled();
-        let mut remaining = VecDeque::new();
-        while let Some(req) = self.pending.fifo().pop_front() {
-            let mut repair_swaps = 0u64;
-            let mut ok = self.inventory.count(req.pair) >= k;
-            if !ok {
-                match self.blocked_request_action(now, &req) {
-                    RequestAction::Wait => {}
-                    RequestAction::Drop => {
-                        self.notify(|o| o.on_request_dropped(now, &req));
-                        continue;
-                    }
-                    RequestAction::Repaired(swaps) => {
-                        repair_swaps = swaps;
-                        self.account_repair_swaps(now, swaps);
-                        ok = self.inventory.count(req.pair) >= k;
-                    }
-                }
-            }
-            if ok {
-                self.consume(now, req, k, repair_swaps);
-            } else {
-                remaining.push_back(req);
+        for _ in 0..self.pending.len() {
+            let request = self.pending.pop_front().expect("rotating within len");
+            if self.serve(now, &request, Self::blocked_request_action) == Served::Blocked {
+                self.pending.push_back(request);
             }
         }
-        self.pending = PendingQueue::Fifo(remaining);
     }
 
     /// Make sure a cutoff sweep is scheduled whenever tracked pairs exist.
@@ -831,8 +689,7 @@ impl QuantumNetworkWorld {
             self.notify(|o| o.on_pair_generated(now, edge));
             self.record_inventory_change(now);
             self.arm_cutoff_sweep(now, queue);
-            // Only `edge` gained inventory: the drain can target it.
-            self.try_satisfy_after_gain(now, edge);
+            self.try_satisfy(now);
         } else {
             // Lost before storage, or dropped on a full buffer.
             self.notify(|o| o.on_pair_lost(now, edge));
@@ -902,8 +759,7 @@ impl QuantumNetworkWorld {
             self.notify(|o| o.on_swap_correction(now));
             self.record_inventory_change(now);
             self.arm_cutoff_sweep(now, queue);
-            // The swap product is the only pair that gained inventory.
-            self.try_satisfy_after_gain(now, NodePair::new(c.left, c.right));
+            self.try_satisfy(now);
             true
         } else {
             false
@@ -947,75 +803,26 @@ impl QuantumNetworkWorld {
     fn handle_request_arrival(&mut self, now: SimTime, request: ConsumptionRequest) {
         self.arrivals_outstanding = self.arrivals_outstanding.saturating_sub(1);
         self.notify(|o| o.on_request_arrival(now, &request));
-        let had_pending = !self.pending.is_empty();
-        self.pending.push_back(request);
         // A request arriving into a stocked network may be satisfiable
         // immediately (open-loop traffic), but an arrival changes no
         // inventory, so requests already pending stay exactly as blocked as
         // they were at the last generation/swap event — re-offering them
         // would be O(queue) of provably redundant policy consultations.
-        // Only the newcomer is offered: directly when it is alone in the
-        // queue; via the single-request path under any-order draining; not
-        // at all under head-of-line (it sits behind the blocked head).
-        if !had_pending {
-            self.try_satisfy(now);
-        } else if self.policy.queue_discipline() == QueueDiscipline::AnyOrder {
-            match &self.pending {
-                PendingQueue::Indexed { .. } => self.try_satisfy_newest_indexed(now, request.pair),
-                PendingQueue::Fifo(_) => self.try_satisfy_new_tail(now),
-            }
-        }
-    }
-
-    /// The indexed arrival fast path: offer only the just-arrived request
-    /// (the back of its pair's queue). Blocked means wait — the hook is
-    /// inert by construction of the indexed store.
-    fn try_satisfy_newest_indexed(&mut self, now: SimTime, pair: NodePair) {
-        let k = self.config.pairs_per_distilled();
-        if self.inventory.count(pair) < k {
-            return;
-        }
-        let PendingQueue::Indexed { by_pair, len } = &mut self.pending else {
-            return;
-        };
-        let Some(queue) = by_pair.get_mut(&pair) else {
-            return;
-        };
-        let req = queue.pop_back().expect("the arrival was just pushed");
-        if queue.is_empty() {
-            by_pair.remove(&pair);
-        }
-        *len -= 1;
-        self.consume(now, req, k, 0);
-    }
-
-    /// Offer only the most recently arrived request (the queue tail) to the
-    /// policy — the any-order arrival fast path.
-    fn try_satisfy_new_tail(&mut self, now: SimTime) {
-        let k = self.config.pairs_per_distilled();
-        let Some(req) = self.pending.fifo().pop_back() else {
-            return;
-        };
-        let mut repair_swaps = 0u64;
-        let mut ok = self.inventory.count(req.pair) >= k;
-        if !ok {
-            match self.blocked_request_action(now, &req) {
-                RequestAction::Wait => {}
-                RequestAction::Drop => {
-                    self.notify(|o| o.on_request_dropped(now, &req));
-                    return;
-                }
-                RequestAction::Repaired(swaps) => {
-                    repair_swaps = swaps;
-                    self.account_repair_swaps(now, swaps);
-                    ok = self.inventory.count(req.pair) >= k;
+        // Only the newcomer is offered: directly under any-order draining
+        // (it joins the queue only when blocked); under head-of-line only
+        // when it is the head, not behind a blocked one.
+        match self.policy.queue_discipline() {
+            QueueDiscipline::AnyOrder => {
+                if self.serve(now, &request, Self::blocked_request_action) == Served::Blocked {
+                    self.pending.push_back(request);
                 }
             }
-        }
-        if ok {
-            self.consume(now, req, k, repair_swaps);
-        } else {
-            self.pending.fifo().push_back(req);
+            QueueDiscipline::HeadOfLine => {
+                self.pending.push_back(request);
+                if self.pending.len() == 1 {
+                    self.try_satisfy_head_of_line(now);
+                }
+            }
         }
     }
 
@@ -1092,6 +899,7 @@ mod tests {
     use crate::workload::Workload;
     use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest};
     use qnet_topology::Topology;
+    use std::collections::BTreeMap;
 
     #[test]
     fn distillation_overhead_increases_work() {
@@ -1277,7 +1085,7 @@ mod tests {
 
     /// Wraps a policy, forcing any-order draining and overriding the
     /// inertness declaration — the two halves of the differential test for
-    /// the indexed pending store.
+    /// the inert skip in [`QuantumNetworkWorld::serve`].
     #[derive(Debug)]
     struct AnyOrderWrapper {
         inner: Box<dyn SwapPolicy>,
@@ -1314,15 +1122,14 @@ mod tests {
     }
 
     #[test]
-    fn indexed_any_order_drain_matches_exact_walk() {
+    fn inert_skip_matches_the_hook_call_under_any_order() {
         use crate::workload::WorkloadSpec;
         use qnet_sim::{Engine, StopCondition};
 
         // The oblivious hook is pure Wait, so running it as an any-order
-        // policy with the exact full-queue walk (inert declared false → Fifo
-        // store) and with the per-pair indexed drain (inert true → Indexed
-        // store) must produce identical metrics, satisfaction order
-        // included.
+        // policy with every blocked offer calling the hook (inert declared
+        // false) and with the world skipping the call (inert true) must
+        // produce identical metrics, satisfaction order included.
         let run = |inert: bool, seed: u64, workload: Workload| {
             let config = NetworkConfig::new(Topology::Cycle { nodes: 9 });
             let policy = Box::new(AnyOrderWrapper {
@@ -1349,11 +1156,11 @@ mod tests {
             let closed = WorkloadSpec::closed_loop(9, 6, 40);
             let open = WorkloadSpec::open_loop(9, 6, 0.5, 300.0);
             for spec in [closed, open] {
-                let exact = run(false, seed, spec.generate(seed));
-                let indexed = run(true, seed, spec.generate(seed));
-                assert_eq!(exact, indexed, "seed {seed} spec {spec:?}");
+                let called = run(false, seed, spec.generate(seed));
+                let skipped = run(true, seed, spec.generate(seed));
+                assert_eq!(called, skipped, "seed {seed} spec {spec:?}");
                 assert!(
-                    !exact.satisfied.is_empty(),
+                    !called.satisfied.is_empty(),
                     "vacuous differential at seed {seed}"
                 );
             }
@@ -1433,6 +1240,112 @@ mod tests {
         let mut world = engine.into_world();
         world.finish();
         world
+    }
+
+    /// 64-bit FNV-1a over a hook stream, one `\n`-terminated line per hook.
+    fn fnv1a(lines: &[String]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for line in lines {
+            for &byte in line.as_bytes().iter().chain(b"\n") {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn request_drain_hook_streams_are_pinned() {
+        use crate::workload::WorkloadSpec;
+        use std::sync::{Arc, Mutex};
+
+        // The whole observer hook stream of every drain path — head-of-line
+        // with and without wait certificates, the any-order walk with its
+        // repairs and drops, arrival offers, stale telemetry — on cycle:9
+        // at seed 5, hashed, with the final pending count as the last line.
+        // Order: mode × knowledge × buffer limit × workload.
+        const PINNED: [u64; 32] = [
+            0xc8d8_5a56_1d53_f7fe,
+            0x5d8a_820a_2f8a_4c0d,
+            0x2099_f7c0_4eb4_b4d8,
+            0x537d_3ed2_a69b_42ac,
+            0xeb93_93a9_360b_ae37,
+            0x9222_999e_ff06_7bc1,
+            0xb3f7_eaed_4eba_64f2,
+            0x5cff_8977_10ea_dc86,
+            0xf755_7b2f_08a6_a6f1,
+            0xe304_4918_08ea_cc29,
+            0x40ea_816d_b597_5fd3,
+            0x27ca_7b4f_3bbb_86a4,
+            0x2816_c6e0_0c69_f307,
+            0x6358_5e0b_0528_6792,
+            0xfe9e_7f8f_d73a_bae5,
+            0x6535_fb08_bf5c_2b81,
+            0x2cb3_6f85_23a4_21d0,
+            0xe304_4918_08ea_cc29,
+            0x0b6e_e3d0_0bc1_038e,
+            0xf162_5518_d279_2cf5,
+            0x7199_43c0_45cc_ec3b,
+            0x0a30_903f_3474_1cd3,
+            0x0aba_f6e5_6eb9_d4b5,
+            0x8c31_a718_53fd_14c3,
+            0x6d04_a7ea_e091_a74e,
+            0xbd98_e989_9698_23f7,
+            0x47fb_191b_74fb_ebd7,
+            0x1267_53aa_651e_605b,
+            0xf1b1_ddbc_7dd8_c4a3,
+            0x166b_685d_d026_b8d9,
+            0xb3f7_eaed_4eba_64f2,
+            0x5cff_8977_10ea_dc86,
+        ];
+        let modes = [
+            PolicyId::OBLIVIOUS,
+            PolicyId::PLANNED,
+            PolicyId::CONNECTIONLESS,
+            PolicyId::HYBRID,
+        ];
+        let knowledges = [
+            KnowledgeModel::Global,
+            KnowledgeModel::Gossip {
+                peers_per_refresh: 1,
+                refresh_period_s: 2.0,
+            },
+        ];
+        let specs = [
+            WorkloadSpec::closed_loop(9, 6, 20),
+            WorkloadSpec::open_loop(9, 6, 0.5, 300.0),
+        ];
+        let mut hashes = Vec::new();
+        let mut satisfied = 0;
+        for mode in modes {
+            for knowledge in knowledges {
+                for limit in [None, Some(3)] {
+                    for spec in &specs {
+                        let mut config = NetworkConfig::new(Topology::Cycle { nodes: 9 });
+                        if let Some(limit) = limit {
+                            config = config.with_buffer_limit(limit);
+                        }
+                        let log = Arc::new(Mutex::new(HookLog::default()));
+                        let world = drive(
+                            config,
+                            spec.generate(5),
+                            mode.instantiate(),
+                            knowledge,
+                            5,
+                            400,
+                            |world| world.add_observer(Box::new(Arc::clone(&log))),
+                        );
+                        let metrics = world.metrics();
+                        satisfied += metrics.satisfied.len();
+                        let mut hooks = std::mem::take(&mut log.lock().unwrap().0);
+                        hooks.push(format!("pending {}", metrics.unsatisfied_requests));
+                        hashes.push(fnv1a(&hooks));
+                    }
+                }
+            }
+        }
+        assert!(satisfied > 0, "vacuous pin");
+        assert_eq!(hashes, PINNED, "hook streams changed");
     }
 
     proptest! {

@@ -156,12 +156,10 @@ pub trait SwapPolicy: fmt::Debug + Send {
 
     /// Whether [`SwapPolicy::on_blocked_request`] is inert: it always
     /// returns [`RequestAction::Wait`] and has no side effects. Declaring
-    /// inertness lets the world elide the hook call on blocked offers and,
-    /// under [`QueueDiscipline::AnyOrder`], drain the pending queue through
-    /// a per-pair index instead of re-walking every blocked request — the
-    /// observable behaviour is provably unchanged. Policies that repair,
-    /// drop, or keep internal tallies must leave this `false` (the
-    /// default).
+    /// inertness lets the world skip the hook call on every blocked offer,
+    /// under either [`QueueDiscipline`] — the observable behaviour is
+    /// provably unchanged. Policies that repair, drop, or keep internal
+    /// tallies must leave this `false` (the default).
     fn blocked_hook_is_inert(&self) -> bool {
         false
     }

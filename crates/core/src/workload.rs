@@ -137,12 +137,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Builder: set the number of distinct consumer pairs.
-    pub fn with_consumer_pairs(mut self, pairs: usize) -> Self {
-        self.consumer_pairs = pairs;
-        self
-    }
-
     /// Builder: set the pair-selection discipline.
     pub fn with_discipline(mut self, selection: PairSelection) -> Self {
         self.selection = selection;
@@ -196,14 +190,6 @@ impl WorkloadSpec {
             TrafficModel::OpenLoopPoisson { rate_hz, horizon_s } => {
                 (rate_hz * horizon_s).round() as usize
             }
-        }
-    }
-
-    /// The offered arrival rate, for open-loop traffic.
-    pub fn arrival_rate_hz(&self) -> Option<f64> {
-        match self.traffic {
-            TrafficModel::OpenLoopPoisson { rate_hz, .. } => Some(rate_hz),
-            TrafficModel::ClosedLoopBatch { .. } => None,
         }
     }
 

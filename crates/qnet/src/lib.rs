@@ -283,9 +283,6 @@
 //!   quantiles come from a log-bucketed sketch
 //!   ([`sim::stats::LogQuantileSketch`], ≤ ~0.4 % relative value error).
 //!   Campaign rows produced this way carry a `sketch_quantiles` flag.
-//! * **Indexed pending queues** — policies whose blocked-request hook is
-//!   inert (pure oblivious) index pending requests per consumer pair, so
-//!   satisfaction scans stop re-walking blocked requests.
 //!
 //! ```
 //! use qnet::prelude::*;

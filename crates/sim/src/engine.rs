@@ -104,11 +104,6 @@ impl<W: World> Engine<W> {
         &self.world
     }
 
-    /// Mutable access to the model.
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Mutable access to the event queue (e.g. for seeding initial events).
     pub fn queue_mut(&mut self) -> &mut EventQueue<W::Event> {
         &mut self.queue

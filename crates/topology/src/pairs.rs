@@ -208,8 +208,7 @@ pub struct CountRow<'a> {
 /// for another entry at the old minimum (every entry left of it is
 /// larger), and rescans the whole row only if there is none, that is,
 /// only when the minimum itself rises; on a 999-wide scale-free row of
-/// mostly zeros the next zero is a step or two away. Serializes exactly
-/// as the inner [`PairMatrix`]; the minima are rebuilt on load.
+/// mostly zeros the next zero is a step or two away.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CountMatrix {
     counts: PairMatrix<u64>,
@@ -333,30 +332,6 @@ fn leftmost_min(row: &[u64], lo: usize) -> (u64, u32) {
         }
     }
     best
-}
-
-impl Serialize for CountMatrix {
-    fn to_value(&self) -> serde::Value {
-        self.counts.to_value()
-    }
-}
-
-impl Deserialize for CountMatrix {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        let counts: PairMatrix<u64> = Deserialize::from_value(value)?;
-        let n = counts.node_count();
-        let pairs = n.checked_mul(n.saturating_sub(1)).map(|x| x / 2);
-        if pairs != Some(counts.pair_count()) {
-            return Err(serde::DeError::custom(format!(
-                "a count matrix over {n} nodes needs one entry per pair, found {}",
-                counts.pair_count()
-            )));
-        }
-        let row_min = (0..n)
-            .map(|lo| leftmost_min(counts.row(NodeId::from(lo)), lo))
-            .collect();
-        Ok(CountMatrix { counts, row_min })
-    }
 }
 
 #[cfg(test)]
@@ -555,25 +530,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn count_matrix_serializes_as_its_pair_matrix() {
-        let mut m = CountMatrix::new(4);
-        m.set(pair(0, 2), 4);
-        m.set(pair(1, 3), 2);
-        m.set(pair(0, 1), 1);
-        let value = m.to_value();
-        assert_eq!(value, m.counts.to_value());
-        let back = CountMatrix::from_value(&value).unwrap();
-        assert_eq!(back, m);
-        assert_eq!(min_of(&back, 0), (0, NodeId(3)));
-        // A matrix whose entries do not cover every pair is an error.
-        let short = PairMatrix {
-            n: 4,
-            data: vec![0u64; 5],
-        };
-        assert!(CountMatrix::from_value(&short.to_value()).is_err());
     }
 
     #[test]
