@@ -346,10 +346,15 @@ impl ScenarioGrid {
     /// The rules every runnable grid satisfies: no axis is empty; every
     /// axis value passes its type's own `check` (topologies, knowledge
     /// models, physics models and workloads; modes and fabrics have no
-    /// range rules); distillation overheads are `≥ 1` and coherence times
-    /// positive; a non-trivial coherence-time axis does not combine with
-    /// decoherent physics; there is at least one replicate; and the
-    /// horizon and both rates are positive. NaN fails every numeric rule.
+    /// range rules); distillation overheads are `≥ 1` and coherence
+    /// times positive, both finite; a non-trivial coherence-time
+    /// axis does not combine with decoherent physics; there is at least
+    /// one replicate; the horizon and both rates are positive and finite;
+    /// and the swap-scan interval `1/swap_scan_rate` is at least one clock
+    /// tick (1 ns), or a scan would reschedule itself at the same instant
+    /// forever. NaN fails every numeric rule. Every float that passes
+    /// survives the JSON round trip (a non-finite one would be written as
+    /// `null`).
     ///
     /// The builders panic when a rule fails; grid descriptors read from
     /// files (`--grid-file`, shard headers, orchestrator run directories)
@@ -360,18 +365,26 @@ impl ScenarioGrid {
             return Err(format!("{} axis cannot be empty", AXIS_NAMES[axis]));
         }
         self.topologies.iter().try_for_each(Topology::check)?;
-        if let Some(d) = self.distillations.iter().find(|d| !(1.0..).contains(*d)) {
-            return Err(format!("distillation overheads must be ≥ 1 (got {d})"));
+        if let Some(d) = self
+            .distillations
+            .iter()
+            .find(|d| !(1.0..f64::INFINITY).contains(*d))
+        {
+            return Err(format!(
+                "distillation overheads must be ≥ 1 and finite (got {d})"
+            ));
         }
         self.knowledge.iter().try_for_each(KnowledgeModel::check)?;
-        let positive = |x: f64| x > 0.0;
+        let positive = |x: f64| x > 0.0 && x.is_finite();
         if let Some(t) = self
             .coherence_times_s
             .iter()
             .flatten()
             .find(|&&t| !positive(t))
         {
-            return Err(format!("coherence times must be positive (got {t})"));
+            return Err(format!(
+                "coherence times must be positive and finite (got {t})"
+            ));
         }
         self.physics.iter().try_for_each(PhysicsModel::check)?;
         self.workloads.iter().try_for_each(WorkloadSpec::check)?;
@@ -397,8 +410,14 @@ impl ScenarioGrid {
             ("swap scan rate", self.swap_scan_rate),
         ] {
             if !positive(value) {
-                return Err(format!("{what} must be positive (got {value})"));
+                return Err(format!("{what} must be positive and finite (got {value})"));
             }
+        }
+        if 1.0 / self.swap_scan_rate < 1e-9 {
+            return Err(format!(
+                "swap scan interval must be at least one 1 ns clock tick (got rate {})",
+                self.swap_scan_rate
+            ));
         }
         Ok(())
     }
@@ -912,17 +931,54 @@ mod tests {
                 closed(r#""requests":6"#).replace(r#""consumer_pairs":5"#, r#""consumer_pairs":0"#),
                 "at least one consumer pair",
             ),
+            // 1e400 parses as +inf. A 1e10 Hz scan would reschedule itself
+            // at the same nanosecond forever.
+            (
+                "swap_scan_rate",
+                "1e400".to_string(),
+                "swap scan rate must be positive and finite (got inf)",
+            ),
+            (
+                "swap_scan_rate",
+                "1e10".to_string(),
+                "swap scan interval must be at least one 1 ns clock tick",
+            ),
+            (
+                "generation_rate",
+                "1e400".to_string(),
+                "generation rate must be positive and finite (got inf)",
+            ),
+            (
+                "max_sim_time_s",
+                "1e400".to_string(),
+                "horizon must be positive and finite (got inf)",
+            ),
+            (
+                "distillations",
+                "[1e400]".to_string(),
+                "distillation overheads must be ≥ 1 and finite (got inf)",
+            ),
+            (
+                "coherence_times_s",
+                "[1e400]".to_string(),
+                "coherence times must be positive and finite (got inf)",
+            ),
         ] {
+            // The bad value is spliced in as raw text: a parsed non-finite
+            // float would be written back as `null`.
+            const SLOT: &str = "bad value slot";
             let mut descriptor = valid.clone();
             let Value::Map(entries) = &mut descriptor else {
                 unreachable!("grids serialize to objects")
             };
-            let bad = serde_json::from_str(&bad).unwrap();
+            let slot = Value::Str(SLOT.to_string());
             match entries.iter_mut().find(|(k, _)| k == key) {
-                Some(entry) => entry.1 = bad,
-                None => entries.push((key.to_string(), bad)),
+                Some(entry) => entry.1 = slot,
+                None => entries.push((key.to_string(), slot)),
             }
-            let text = serde_json::to_string(&descriptor).unwrap();
+            let text = serde_json::to_string(&descriptor)
+                .unwrap()
+                .replace(&format!("\"{SLOT}\""), &bad);
             let err = ScenarioGrid::from_json(&text).unwrap_err();
             assert!(err.contains(message), "{key}: {err}");
         }
@@ -1208,5 +1264,67 @@ mod tests {
         assert_eq!(a.cell, 0);
         assert_eq!(b.cell, 1);
         assert_ne!(a.seed, b.seed);
+    }
+
+    /// Floats a grid descriptor may carry: in range, out of range,
+    /// non-finite (`1e400` parses as +inf, which a JSON round trip turns
+    /// into `null`), and past the clock-tick limit of the swap-scan rate.
+    const FLOATS: [f64; 9] = [
+        2.5,
+        0.0,
+        -1.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        1e10,
+        1e300,
+        5e-324,
+    ];
+
+    /// `small_grid` with each float field taken from `values` where it
+    /// holds one (`None` keeps the field's value).
+    fn grid_with_floats(values: [Option<f64>; 6]) -> ScenarioGrid {
+        let mut grid = small_grid();
+        let [distillation, coherence, horizon, generation, scan, period] = values;
+        grid.distillations = vec![1.0, distillation.unwrap_or(2.0)];
+        grid.coherence_times_s = vec![coherence];
+        grid.max_sim_time_s = horizon.unwrap_or(grid.max_sim_time_s);
+        grid.generation_rate = generation.unwrap_or(grid.generation_rate);
+        grid.swap_scan_rate = scan.unwrap_or(grid.swap_scan_rate);
+        grid.knowledge = vec![KnowledgeModel::Gossip {
+            peers_per_refresh: 1,
+            refresh_period_s: period.unwrap_or(0.0),
+        }];
+        grid
+    }
+
+    proptest::proptest! {
+        /// Every grid that passes `check` reads back from its own JSON
+        /// descriptor (as `--grid-file`, shard headers and orchestrator
+        /// run directories carry it) with an equal fingerprint. Each case
+        /// puts one of [`FLOATS`] into each float field in turn, then
+        /// mixes values across all six fields.
+        #[test]
+        fn checked_grids_survive_the_json_round_trip(
+            value in 0usize..FLOATS.len(),
+            picks in proptest::collection::vec(0usize..2 * FLOATS.len(), 6),
+        ) {
+            let mut grids: Vec<ScenarioGrid> = (0..6)
+                .map(|field| {
+                    let mut values = [None; 6];
+                    values[field] = Some(FLOATS[value]);
+                    grid_with_floats(values)
+                })
+                .collect();
+            grids.push(grid_with_floats(std::array::from_fn(|field| {
+                FLOATS.get(picks[field]).copied()
+            })));
+            for grid in grids.into_iter().filter(|grid| grid.check().is_ok()) {
+                let text = serde_json::to_string(&grid).unwrap();
+                let back = ScenarioGrid::from_json(&text);
+                proptest::prop_assert!(back.is_ok(), "{:?} from {}", back, text);
+                proptest::prop_assert_eq!(back.unwrap().fingerprint(), grid.fingerprint());
+            }
+        }
     }
 }

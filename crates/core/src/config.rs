@@ -128,14 +128,20 @@ impl NetworkConfig {
 
     /// Builder: set the per-edge generation rate.
     pub fn with_generation_rate(mut self, rate: f64) -> Self {
-        assert!(rate > 0.0, "generation rate must be positive");
+        assert!(
+            rate > 0.0 && rate.is_finite(),
+            "generation rate must be positive and finite"
+        );
         self.generation_rate = rate;
         self
     }
 
     /// Builder: set the per-node swap-scan rate.
     pub fn with_swap_scan_rate(mut self, rate: f64) -> Self {
-        assert!(rate > 0.0, "swap scan rate must be positive");
+        assert!(
+            rate > 0.0 && rate.is_finite(),
+            "swap scan rate must be positive and finite"
+        );
         self.swap_scan_rate = rate;
         self
     }

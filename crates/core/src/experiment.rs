@@ -2,8 +2,9 @@
 //!
 //! [`Experiment`] owns the full recipe of one §5-style run (network
 //! configuration, workload, swap policy, knowledge model, seed, horizon),
-//! resolves the policy from the [`crate::policy`] registry, drives the
-//! discrete-event engine to completion and returns an [`ExperimentResult`]
+//! resolves the policy from the [`crate::policy`] registry, builds the
+//! world into the queue that runs it, runs it to the horizon with
+//! [`qnet_sim::run_until`] and returns an [`ExperimentResult`]
 //! that carries both the headline swap-overhead number and the full
 //! [`RunMetrics`] for deeper analysis. Sweeps (Figures 4 and 5, the
 //! ablations) run many `Experiment`s in parallel through `qnet-campaign`.
@@ -11,10 +12,10 @@
 use crate::classical::KnowledgeModel;
 use crate::config::NetworkConfig;
 use crate::metrics::RunMetrics;
-use crate::network::QuantumNetworkWorld;
+use crate::network::{NetEvent, QuantumNetworkWorld};
 pub use crate::policy::PolicyId;
 use crate::workload::{Workload, WorkloadSpec};
-use qnet_sim::{Engine, EventQueue, SimTime, StopCondition, World};
+use qnet_sim::{run_until, EventQueue, SimTime};
 use qnet_topology::Topology;
 use serde::{Deserialize, Serialize};
 
@@ -170,71 +171,66 @@ impl Experiment {
     /// Run the simulation to completion (all requests satisfied) or to the
     /// configured horizon, and collect the results.
     ///
-    /// Open-loop workloads stream their arrivals lazily (see
+    /// Arrivals, closed-loop and open-loop alike, stream lazily (see
     /// [`WorkloadSpec::stream`]): the request vector is never materialised,
     /// so a 10⁶-request horizon costs the same memory as a 10³-request one.
     /// The delivered arrival sequence — and the resulting metrics — are
-    /// identical to the eager [`Experiment::run_with_workload`] path.
+    /// those of [`Experiment::run_with_workload`] on
+    /// [`WorkloadSpec::generate`]'s workload.
     pub fn run(&self) -> ExperimentResult {
         // The workload spec's node count must match the topology.
         let mut spec = self.config.workload;
         spec.node_count = self.config.network.node_count();
-        if spec.is_open_loop() {
-            let mut staging = EventQueue::new();
-            let world = QuantumNetworkWorld::with_arrival_stream(
-                self.config.network,
-                spec.stream(self.config.seed),
-                self.config.mode.instantiate(),
-                self.config.knowledge,
-                self.config.seed,
-                &mut staging,
-            );
-            self.drive(world, staging)
-        } else {
-            self.run_with_workload(spec.generate(self.config.seed))
-        }
+        let config = &self.config;
+        self.drive(|queue| {
+            QuantumNetworkWorld::with_arrival_stream(
+                config.network,
+                spec.stream(config.seed),
+                config.mode.instantiate(),
+                config.knowledge,
+                config.seed,
+                queue,
+            )
+        })
     }
 
     /// Run with an explicitly supplied workload (used by ablations that pin
-    /// the request sequence across configurations). Always eager: every
-    /// arrival event is scheduled up front.
+    /// the request sequence across configurations). Its requests go through
+    /// the same batch pump as [`Experiment::run`]'s stream.
     pub fn run_with_workload(&self, workload: Workload) -> ExperimentResult {
-        let mut staging = EventQueue::new();
-        let world = QuantumNetworkWorld::new(
-            self.config.network,
-            workload,
-            self.config.mode.instantiate(),
-            self.config.knowledge,
-            self.config.seed,
-            &mut staging,
-        );
-        self.drive(world, staging)
+        let config = &self.config;
+        self.drive(|queue| {
+            QuantumNetworkWorld::new(
+                config.network,
+                workload,
+                config.mode.instantiate(),
+                config.knowledge,
+                config.seed,
+                queue,
+            )
+        })
     }
 
-    /// Re-stage the seeded events onto a fresh engine (re-assigning seqs in
-    /// (time, seq) order) and run to the configured horizon.
+    /// Build the world into the queue that runs it, run it to the
+    /// configured horizon, fire the policy's end-of-run hook and collect
+    /// the metrics.
     fn drive(
         &self,
-        world: QuantumNetworkWorld,
-        mut staging: EventQueue<<QuantumNetworkWorld as World>::Event>,
+        build: impl FnOnce(&mut EventQueue<NetEvent>) -> QuantumNetworkWorld,
     ) -> ExperimentResult {
-        let mut engine: Engine<QuantumNetworkWorld> = Engine::new(world);
-        while let Some(ev) = staging.pop() {
-            engine.queue_mut().schedule_at(ev.time, ev.event);
-        }
-
-        let horizon = SimTime::from_secs_f64(self.config.max_sim_time_s);
-        engine.run(StopCondition::at_horizon(horizon));
-        let ended = engine.now();
-        let mut world = engine.into_world();
+        let config = &self.config;
+        let mut queue = EventQueue::new();
+        let mut world = build(&mut queue);
+        let horizon = SimTime::from_secs_f64(config.max_sim_time_s);
+        let ended = run_until(&mut world, &mut queue, horizon);
         world.finish();
         let metrics = world.metrics();
 
         ExperimentResult {
-            topology: self.config.network.topology.label(),
-            node_count: self.config.network.node_count(),
-            mode: self.config.mode,
-            distillation_overhead: self.config.network.distillation_overhead(),
+            topology: config.network.topology.label(),
+            node_count: config.network.node_count(),
+            mode: config.mode,
+            distillation_overhead: config.network.distillation_overhead(),
             satisfied_requests: metrics.satisfied_count(),
             unsatisfied_requests: metrics.unsatisfied_requests,
             swaps_performed: metrics.swaps_performed,
@@ -386,12 +382,29 @@ mod tests {
         assert_eq!(r, Experiment::new(c).run());
     }
 
+    /// The eager reference: every request scheduled up front and the
+    /// queue re-staged (`QuantumNetworkWorld::with_eager_arrivals`), run
+    /// through the same lifecycle as `Experiment::run`.
+    fn eager_reference(c: ExperimentConfig, workload: Workload) -> ExperimentResult {
+        Experiment::new(c).drive(|queue| {
+            QuantumNetworkWorld::with_eager_arrivals(
+                c.network,
+                workload,
+                c.mode.instantiate(),
+                c.knowledge,
+                c.seed,
+                queue,
+            )
+        })
+    }
+
     #[test]
     fn lazy_open_loop_matches_eager_scheduling() {
-        // `run()` streams open-loop arrivals in batches; `run_with_workload`
-        // schedules every arrival up front. Full results (every satisfied
-        // request, every counter) must be identical across policies and
-        // seeds — the differential pin for the lazy generator.
+        // `run()` streams open-loop arrivals in batches, and
+        // `run_with_workload` pumps the materialised workload through the
+        // same batches. Full results (every satisfied request, every
+        // counter) must equal the eager reference's across policies and
+        // seeds — the differential pin for the batch pump.
         for mode in [
             PolicyId::OBLIVIOUS,
             PolicyId::HYBRID,
@@ -409,9 +422,14 @@ mod tests {
                 c.max_sim_time_s = 1_000.0;
                 let mut spec = c.workload;
                 spec.node_count = c.network.node_count();
-                let eager = Experiment::new(c).run_with_workload(spec.generate(seed));
+                let eager = eager_reference(c, spec.generate(seed));
+                let listed = Experiment::new(c).run_with_workload(spec.generate(seed));
                 let lazy = Experiment::new(c).run();
                 assert_eq!(lazy, eager, "lazy vs eager diverged: {mode:?} seed {seed}");
+                assert_eq!(
+                    listed, eager,
+                    "listed vs eager diverged: {mode:?} seed {seed}"
+                );
             }
         }
     }

@@ -10,8 +10,8 @@
 //! [`MetricsRecorder`] observer folds them into [`RunMetrics`].
 //!
 //! Requests are **injected over simulated time**: every
-//! [`ConsumptionRequest`] of the workload is scheduled as a
-//! [`NetEvent::RequestArrival`] at its arrival time, so open-loop traffic
+//! [`ConsumptionRequest`] is scheduled as a [`NetEvent::RequestArrival`]
+//! at its arrival time, [`ARRIVAL_BATCH`] at a time, so open-loop traffic
 //! models interleave arrivals with generation and swap scans, and the
 //! pending queue a policy sees can grow mid-run. Closed-loop batches
 //! degenerate to all arrivals at `t = 0`, reproducing the paper's
@@ -19,9 +19,10 @@
 //! run ends when the horizon is reached or when the queue is drained *and*
 //! no arrival is outstanding.
 //!
-//! It implements [`qnet_sim::World`] so the generic engine drives it;
-//! [`crate::experiment`] owns the engine, resolves a policy from the
-//! registry and extracts the metrics.
+//! It implements [`qnet_sim::World`]: a constructor seeds the queue it is
+//! handed, and [`qnet_sim::run_until`] runs the world on that same queue.
+//! [`crate::experiment`] resolves a policy from the registry, runs the
+//! world to the horizon and extracts the metrics.
 
 use crate::balancer::SwapCandidate;
 use crate::classical::KnowledgeModel;
@@ -58,11 +59,11 @@ pub enum NetEvent {
     /// under decoherent physics with a finite cutoff; never fires under the
     /// default ideal physics, keeping those runs byte-identical).
     CutoffSweep,
-    /// Pump the next batch of lazily generated arrivals out of the world's
-    /// [`ArrivalStream`]. Scheduled at the last arrival time of the previous
-    /// batch (with a later tie-break seq, so it pops after that arrival) and
-    /// handled without touching the clocked world state, so lazily driven
-    /// runs match eagerly scheduled ones.
+    /// Pump the next batch of arrivals out of the world's [`ArrivalStream`].
+    /// Scheduled at the last arrival time of the previous batch (with a
+    /// later tie-break seq, so it pops after that arrival) and handled
+    /// without touching the clocked world state, so a run crossing a wake
+    /// matches one that scheduled every arrival up front.
     ArrivalWake,
     /// A node runs one gossip exchange: it pulls `peers_per_refresh`
     /// rotating peers' count rows, which arrive after their classical
@@ -82,10 +83,9 @@ pub enum NetEvent {
     },
 }
 
-/// How many lazily generated arrivals are scheduled per
-/// [`NetEvent::ArrivalWake`]: large enough to amortise the wake overhead,
-/// small enough that the event queue never holds more than a sliver of a
-/// million-request horizon.
+/// How many arrivals are scheduled per [`NetEvent::ArrivalWake`]: large
+/// enough to amortise the wake overhead, small enough that the event queue
+/// never holds more than a sliver of a million-request horizon.
 pub const ARRIVAL_BATCH: usize = 1024;
 
 /// What serving one pending request did (see
@@ -129,8 +129,7 @@ pub struct QuantumNetworkWorld {
     pending: VecDeque<ConsumptionRequest>,
     /// Requests scheduled as arrival events but not yet delivered.
     arrivals_outstanding: usize,
-    /// Lazily generated arrivals not yet scheduled (open-loop streaming
-    /// runs). `None` once exhausted — and always `None` for eager runs.
+    /// Requests not yet scheduled; `None` once the stream is exhausted.
     arrival_stream: Option<ArrivalStream>,
     /// Cached [`SwapPolicy::blocked_hook_is_inert`] (the policy is behind a
     /// vtable; this sits on the per-blocked-offer hot path).
@@ -158,8 +157,9 @@ pub struct QuantumNetworkWorld {
 }
 
 impl QuantumNetworkWorld {
-    /// Build the model and seed the event queue with the initial generation
-    /// and scan events.
+    /// Build the model and seed `queue`, the queue that will run it, with
+    /// the initial generation and scan events and the workload's first
+    /// [`ARRIVAL_BATCH`] requests (see [`Self::with_arrival_stream`]).
     pub fn new(
         config: NetworkConfig,
         workload: Workload,
@@ -168,23 +168,20 @@ impl QuantumNetworkWorld {
         seed: u64,
         queue: &mut EventQueue<NetEvent>,
     ) -> Self {
-        let mut world = Self::without_arrivals(config, policy, knowledge, seed, queue);
-        world.arrivals_outstanding = workload.requests.len();
-        // Requests are injected over simulated time: closed-loop batches all
-        // arrive at t = 0 (before the first generation event), open-loop
-        // traffic interleaves with the physical processes.
-        for request in workload.requests {
-            queue.schedule_at(request.arrival_time, NetEvent::RequestArrival { request });
-        }
-        world
+        let stream = ArrivalStream::from(workload);
+        Self::with_arrival_stream(config, stream, policy, knowledge, seed, queue)
     }
 
     /// Build the model with a lazy [`ArrivalStream`] instead of a
-    /// materialised [`Workload`]: only [`ARRIVAL_BATCH`] arrivals are
-    /// scheduled at a time, with a self-rescheduling [`NetEvent::ArrivalWake`]
-    /// pumping the next batch, so memory stays flat however long the
-    /// open-loop horizon is. The delivered arrival sequence is identical to
-    /// the eager path (both draw from the same generator).
+    /// materialised [`Workload`], so memory stays flat however long the
+    /// open-loop horizon is. Either way only [`ARRIVAL_BATCH`] arrivals are
+    /// scheduled at a time, with a self-rescheduling
+    /// [`NetEvent::ArrivalWake`] pumping the next batch: closed-loop
+    /// batches all arrive at t = 0, after every seeded event at that
+    /// instant, and open-loop traffic interleaves with the physical
+    /// processes. A drawn stream yields exactly the requests
+    /// [`crate::workload::WorkloadSpec::generate`] materialises, so both
+    /// constructors run the same events.
     pub fn with_arrival_stream(
         config: NetworkConfig,
         stream: ArrivalStream,
@@ -196,6 +193,31 @@ impl QuantumNetworkWorld {
         let mut world = Self::without_arrivals(config, policy, knowledge, seed, queue);
         world.arrival_stream = Some(stream);
         world.pump_arrivals(queue);
+        world
+    }
+
+    /// The eager scheduling the batch pump replaced, kept as the reference
+    /// it is checked against: every request is scheduled up front into a
+    /// staging queue, which is then re-staged onto `queue` in `(time, seq)`
+    /// order.
+    #[cfg(test)]
+    pub(crate) fn with_eager_arrivals(
+        config: NetworkConfig,
+        workload: Workload,
+        policy: Box<dyn SwapPolicy>,
+        knowledge: KnowledgeModel,
+        seed: u64,
+        queue: &mut EventQueue<NetEvent>,
+    ) -> Self {
+        let mut staging = EventQueue::new();
+        let mut world = Self::without_arrivals(config, policy, knowledge, seed, &mut staging);
+        world.arrivals_outstanding = workload.requests.len();
+        for request in workload.requests {
+            staging.schedule_at(request.arrival_time, NetEvent::RequestArrival { request });
+        }
+        while let Some(ev) = staging.pop() {
+            queue.schedule_at(ev.time, ev.event);
+        }
         world
     }
 
@@ -286,8 +308,8 @@ impl QuantumNetworkWorld {
 
     /// Schedule up to [`ARRIVAL_BATCH`] requests from the arrival stream,
     /// plus one [`NetEvent::ArrivalWake`] at the last scheduled arrival time
-    /// when the stream has more to give. The wake is scheduled after its
-    /// co-timed arrival (later seq), so the next batch is pumped exactly
+    /// when the stream may have more to give. The wake is scheduled after
+    /// its co-timed arrival (later seq), so the next batch is pumped exactly
     /// when the queue would otherwise run out of arrivals.
     fn pump_arrivals(&mut self, queue: &mut EventQueue<NetEvent>) {
         let Some(stream) = self.arrival_stream.as_mut() else {
@@ -859,10 +881,10 @@ impl World for QuantumNetworkWorld {
     type Event = NetEvent;
 
     fn handle(&mut self, now: SimTime, event: NetEvent, queue: &mut EventQueue<NetEvent>) {
-        // The generator wake is pure bookkeeping: it schedules the next
+        // The arrival wake is pure bookkeeping: it schedules the next
         // arrival batch without aging the inventory or firing observer
-        // hooks, so a lazily driven run sees exactly the clocked events an
-        // eagerly scheduled run would.
+        // hooks, so a run crossing it sees exactly the clocked events a run
+        // with every arrival scheduled up front would.
         if matches!(event, NetEvent::ArrivalWake) {
             self.pump_arrivals(queue);
             return;
@@ -895,7 +917,7 @@ mod tests {
     use crate::config::DistillationSpec;
     use crate::observer::EventCounts;
     use crate::policy::PolicyId;
-    use crate::test_support::{pair, run_world, run_world_with_knowledge};
+    use crate::test_support::{self, pair, run_world, run_world_with_knowledge};
     use crate::workload::Workload;
     use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest};
     use qnet_topology::Topology;
@@ -1124,7 +1146,6 @@ mod tests {
     #[test]
     fn inert_skip_matches_the_hook_call_under_any_order() {
         use crate::workload::WorkloadSpec;
-        use qnet_sim::{Engine, StopCondition};
 
         // The oblivious hook is pure Wait, so running it as an any-order
         // policy with every blocked offer calling the hook (inert declared
@@ -1136,21 +1157,17 @@ mod tests {
                 inner: PolicyId::OBLIVIOUS.instantiate(),
                 inert,
             });
-            let mut queue = EventQueue::new();
-            let world = QuantumNetworkWorld::new(
-                config,
-                workload,
-                policy,
-                KnowledgeModel::Global,
-                seed,
-                &mut queue,
-            );
-            let mut engine = Engine::new(world);
-            while let Some(ev) = queue.pop() {
-                engine.queue_mut().schedule_at(ev.time, ev.event);
-            }
-            engine.run(StopCondition::at_horizon(SimTime::from_secs(900)));
-            engine.into_world().metrics()
+            test_support::drive(900, |queue| {
+                QuantumNetworkWorld::new(
+                    config,
+                    workload,
+                    policy,
+                    KnowledgeModel::Global,
+                    seed,
+                    queue,
+                )
+            })
+            .metrics()
         };
         for seed in [3u64, 17, 42] {
             let closed = WorkloadSpec::closed_loop(9, 6, 40);
@@ -1227,19 +1244,12 @@ mod tests {
         horizon_s: u64,
         setup: impl FnOnce(&mut QuantumNetworkWorld),
     ) -> QuantumNetworkWorld {
-        use qnet_sim::{Engine, StopCondition};
-        let mut queue = EventQueue::new();
-        let mut world =
-            QuantumNetworkWorld::new(config, workload, policy, knowledge, seed, &mut queue);
-        setup(&mut world);
-        let mut engine = Engine::new(world);
-        while let Some(ev) = queue.pop() {
-            engine.queue_mut().schedule_at(ev.time, ev.event);
-        }
-        engine.run(StopCondition::at_horizon(SimTime::from_secs(horizon_s)));
-        let mut world = engine.into_world();
-        world.finish();
-        world
+        test_support::drive(horizon_s, |queue| {
+            let mut world =
+                QuantumNetworkWorld::new(config, workload, policy, knowledge, seed, queue);
+            setup(&mut world);
+            world
+        })
     }
 
     /// 64-bit FNV-1a over a hook stream, one `\n`-terminated line per hook.
@@ -1420,6 +1430,100 @@ mod tests {
         }
     }
 
+    /// Run the world `build` seeds for 15 s with a [`HookLog`] attached,
+    /// and return its metrics and the FNV-1a of its whole hook stream.
+    fn hooked_run(
+        build: impl FnOnce(&mut EventQueue<NetEvent>) -> QuantumNetworkWorld,
+    ) -> (RunMetrics, u64) {
+        use std::sync::{Arc, Mutex};
+        let log = Arc::new(Mutex::new(HookLog::default()));
+        let world = test_support::drive(15, |queue| {
+            let mut world = build(queue);
+            world.add_observer(Box::new(Arc::clone(&log)));
+            world
+        });
+        let hooks = std::mem::take(&mut log.lock().unwrap().0);
+        (world.metrics(), fnv1a(&hooks))
+    }
+
+    proptest! {
+        /// The batch pump is exact: a materialised workload handed to
+        /// `new` and the same workload drawn lazily by
+        /// `with_arrival_stream` give the metrics and the whole observer
+        /// hook stream of the eager reference, which schedules every
+        /// request up front and re-stages its queue onto the run queue.
+        /// Closed batches and open-loop traffic both reach past
+        /// `ARRIVAL_BATCH`, so runs cross arrival wakes; the disciplines
+        /// cover head-of-line and any-order draining, under global and
+        /// `gossip:1:2` knowledge.
+        #[test]
+        fn arrival_pump_matches_eager_scheduling(
+            nodes in 4usize..9,
+            mode in 0usize..4,
+            gossip in any::<bool>(),
+            open in any::<bool>(),
+            requests in 1usize..1800,
+            seed in 0u64..1_000_000,
+        ) {
+            use crate::workload::WorkloadSpec;
+
+            let config = NetworkConfig::new(Topology::Cycle { nodes });
+            let mode = [
+                PolicyId::OBLIVIOUS,
+                PolicyId::PLANNED,
+                PolicyId::CONNECTIONLESS,
+                PolicyId::HYBRID,
+            ][mode];
+            let knowledge = if gossip {
+                KnowledgeModel::Gossip {
+                    peers_per_refresh: 1,
+                    refresh_period_s: 2.0,
+                }
+            } else {
+                KnowledgeModel::Global
+            };
+            // Open-loop traffic offers about `requests` arrivals in 10 s.
+            let spec = if open {
+                WorkloadSpec::open_loop(nodes, 4, requests as f64 / 10.0, 10.0)
+            } else {
+                WorkloadSpec::closed_loop(nodes, 4, requests)
+            };
+            let reference = hooked_run(|queue| {
+                QuantumNetworkWorld::with_eager_arrivals(
+                    config,
+                    spec.generate(seed),
+                    mode.instantiate(),
+                    knowledge,
+                    seed,
+                    queue,
+                )
+            });
+            let listed = hooked_run(|queue| {
+                QuantumNetworkWorld::new(
+                    config,
+                    spec.generate(seed),
+                    mode.instantiate(),
+                    knowledge,
+                    seed,
+                    queue,
+                )
+            });
+            let drawn = hooked_run(|queue| {
+                QuantumNetworkWorld::with_arrival_stream(
+                    config,
+                    spec.stream(seed),
+                    mode.instantiate(),
+                    knowledge,
+                    seed,
+                    queue,
+                )
+            });
+            prop_assert!(open || reference.0.arrived_requests == requests as u64);
+            prop_assert_eq!(&listed, &reference);
+            prop_assert_eq!(&drawn, &reference);
+        }
+    }
+
     /// Counts the blocked-request offers each request sequence receives.
     #[derive(Debug)]
     struct OfferCounter {
@@ -1510,28 +1614,20 @@ mod tests {
 
     #[test]
     fn extra_observers_see_the_run() {
-        use qnet_sim::{Engine, StopCondition};
         use std::sync::{Arc, Mutex};
 
         let config = NetworkConfig::new(Topology::Cycle { nodes: 7 });
         let workload = Workload::from_pairs(vec![pair(0, 3)]);
-        let mut queue = EventQueue::new();
-        let mut world = QuantumNetworkWorld::new(
+        let counts = Arc::new(Mutex::new(EventCounts::default()));
+        let world = drive(
             config,
             workload,
             PolicyId::OBLIVIOUS.instantiate(),
             KnowledgeModel::Global,
             3,
-            &mut queue,
+            600,
+            |world| world.add_observer(Box::new(Arc::clone(&counts))),
         );
-        let counts = Arc::new(Mutex::new(EventCounts::default()));
-        world.add_observer(Box::new(Arc::clone(&counts)));
-        let mut engine = Engine::new(world);
-        while let Some(ev) = queue.pop() {
-            engine.queue_mut().schedule_at(ev.time, ev.event);
-        }
-        engine.run(StopCondition::at_horizon(SimTime::from_secs(600)));
-        let world = engine.into_world();
         let metrics = world.metrics();
         let counts = counts.lock().unwrap();
         assert_eq!(counts.satisfied as usize, metrics.satisfied.len());

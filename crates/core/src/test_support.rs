@@ -3,10 +3,10 @@
 
 use crate::classical::KnowledgeModel;
 use crate::config::NetworkConfig;
-use crate::network::QuantumNetworkWorld;
+use crate::network::{NetEvent, QuantumNetworkWorld};
 use crate::policy::PolicyId;
 use crate::workload::Workload;
-use qnet_sim::{Engine, EventQueue, SimTime, StopCondition};
+use qnet_sim::{run_until, EventQueue, SimTime};
 use qnet_topology::{NodeId, NodePair};
 
 /// Shorthand pair constructor.
@@ -42,27 +42,28 @@ pub fn run_world_with_knowledge(
     seed: u64,
     horizon_s: u64,
 ) -> QuantumNetworkWorld {
-    let mut engine = {
-        let mut queue = EventQueue::new();
-        let world = QuantumNetworkWorld::new(
+    drive(horizon_s, |queue| {
+        QuantumNetworkWorld::new(
             config,
             workload,
             policy.instantiate(),
             knowledge,
             seed,
-            &mut queue,
-        );
-        let mut engine = Engine::new(world);
-        // Move the pre-seeded events into the engine's queue.
-        while let Some(ev) = queue.pop() {
-            engine.queue_mut().schedule_at(ev.time, ev.event);
-        }
-        engine
-    };
-    engine.run(StopCondition::at_horizon(SimTime::from_secs(horizon_s)));
-    let mut world = engine.into_world();
-    // Mirror the Experiment::run lifecycle: the policy's end-of-run hook
-    // fires before metrics are read.
+            queue,
+        )
+    })
+}
+
+/// Mirror the `Experiment::run` lifecycle: `build` seeds a world into the
+/// queue that runs it, the world runs to `horizon_s` simulated seconds,
+/// and the policy's end-of-run hook fires before it is returned.
+pub fn drive(
+    horizon_s: u64,
+    build: impl FnOnce(&mut EventQueue<NetEvent>) -> QuantumNetworkWorld,
+) -> QuantumNetworkWorld {
+    let mut queue = EventQueue::new();
+    let mut world = build(&mut queue);
+    run_until(&mut world, &mut queue, SimTime::from_secs(horizon_s));
     world.finish();
     world
 }

@@ -411,29 +411,26 @@ mod tests {
         use crate::config::NetworkConfig;
         use crate::network::QuantumNetworkWorld;
         use crate::policy::PolicyId;
+        use crate::test_support::drive;
         use crate::workload::WorkloadSpec;
-        use qnet_sim::{Engine, EventQueue, StopCondition};
         use qnet_topology::Topology;
 
         let run = || {
             let spec = WorkloadSpec::open_loop(7, 5, 0.5, 100.0);
-            let mut queue = EventQueue::new();
-            let mut world = QuantumNetworkWorld::new(
-                NetworkConfig::new(Topology::Cycle { nodes: 7 }),
-                spec.generate(5),
-                PolicyId::OBLIVIOUS.instantiate(),
-                KnowledgeModel::Global,
-                5,
-                &mut queue,
-            );
             let trace = Arc::new(Mutex::new(TraceWriter::new(Vec::new())));
-            world.add_observer(Box::new(Arc::clone(&trace)));
-            let mut engine = Engine::new(world);
-            while let Some(ev) = queue.pop() {
-                engine.queue_mut().schedule_at(ev.time, ev.event);
-            }
-            engine.run(StopCondition::at_horizon(SimTime::from_secs(300)));
-            drop(engine); // releases the world's clone of the observer Arc
+            let world = drive(300, |queue| {
+                let mut world = QuantumNetworkWorld::new(
+                    NetworkConfig::new(Topology::Cycle { nodes: 7 }),
+                    spec.generate(5),
+                    PolicyId::OBLIVIOUS.instantiate(),
+                    KnowledgeModel::Global,
+                    5,
+                    queue,
+                );
+                world.add_observer(Box::new(Arc::clone(&trace)));
+                world
+            });
+            drop(world); // releases the world's clone of the observer Arc
             let writer = Arc::into_inner(trace)
                 .expect("sole owner after the run")
                 .into_inner()

@@ -290,6 +290,9 @@ impl WorkloadSpec {
 /// Traffic-model position of an [`ArrivalStream`].
 #[derive(Debug, Clone)]
 enum TrafficState {
+    /// A materialised workload's requests, replayed in order with their
+    /// own pairs.
+    Listed(std::vec::IntoIter<ConsumptionRequest>),
     /// Closed-loop batch: `remaining` requests left, all at `t = 0`.
     Closed { remaining: usize },
     /// Open-loop Poisson: the `"arrivals"` RNG plus the current arrival
@@ -306,9 +309,10 @@ enum TrafficState {
 /// A lazily evaluated request sequence: the self-contained generator state
 /// (consumer set, selection discipline, both RNG streams) that yields the
 /// same [`ConsumptionRequest`]s [`WorkloadSpec::generate`] would
-/// materialise, one at a time. Carried by the simulation world so open-loop
-/// arrivals can be scheduled in batches — memory stays flat no matter how
-/// many requests the horizon implies.
+/// materialise, one at a time. Carried by the simulation world so arrivals
+/// are scheduled in batches — memory stays flat no matter how many
+/// requests the horizon implies. A materialised [`Workload`] converts into
+/// a stream that replays it, so the world has one arrival path.
 #[derive(Debug, Clone)]
 pub struct ArrivalStream {
     consumers: Vec<NodePair>,
@@ -343,6 +347,11 @@ impl ArrivalStream {
             next_seq,
         } = self;
         let arrival_time = match traffic {
+            TrafficState::Listed(requests) => {
+                let request = requests.next()?;
+                *next_seq += 1;
+                return Some(request);
+            }
             TrafficState::Closed { remaining } => {
                 if *remaining == 0 {
                     return None;
@@ -383,6 +392,21 @@ impl ArrivalStream {
             pair,
             arrival_time,
         })
+    }
+}
+
+impl From<Workload> for ArrivalStream {
+    /// Replay a materialised workload: its requests in order, each with
+    /// its own pair, so the pair-selection state is never read.
+    fn from(workload: Workload) -> Self {
+        ArrivalStream {
+            consumers: workload.consumers,
+            selection: PairSelection::UniformRandom,
+            zipf_cdf: None,
+            selection_rng: SimRng::new(0),
+            traffic: TrafficState::Listed(workload.requests.into_iter()),
+            next_seq: 0,
+        }
     }
 }
 
@@ -723,6 +747,20 @@ mod tests {
         assert_eq!(s.yielded(), w.len() as u64);
         assert!(s.next_request().is_none(), "stream is fused");
         assert!(s.next_request().is_none());
+    }
+
+    #[test]
+    fn a_workload_stream_replays_the_workload() {
+        let w = WorkloadSpec::open_loop(10, 5, 2.0, 100.0).generate(13);
+        let mut s = ArrivalStream::from(w.clone());
+        assert_eq!(s.consumers(), w.consumers.as_slice());
+        let mut collected = Vec::new();
+        while let Some(r) = s.next_request() {
+            collected.push(r);
+        }
+        assert_eq!(collected, w.requests);
+        assert_eq!(s.yielded(), w.len() as u64);
+        assert!(s.next_request().is_none(), "stream is fused");
     }
 
     #[test]

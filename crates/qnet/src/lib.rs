@@ -269,12 +269,14 @@
 //!   hierarchical timing wheel (O(1) amortised schedule/pop) instead of a
 //!   `BinaryHeap`, preserving the deterministic `(time, seq)` FIFO
 //!   tie-break exactly, so it pops the same stream a heap would.
-//! * **Lazy arrival streams** — open-loop Poisson arrivals are drawn from a
-//!   [`core::workload::ArrivalStream`] in batches of
-//!   [`core::network::ARRIVAL_BATCH`] by a self-rescheduling generator
-//!   event, so the queue never holds more than one batch of future
-//!   arrivals. The stream reproduces `WorkloadSpec::generate`'s draw order
-//!   exactly: eager and lazy runs are byte-identical.
+//! * **Lazy arrival streams** — `Experiment::run` draws arrivals, closed-
+//!   and open-loop alike, from a [`core::workload::ArrivalStream`] in
+//!   batches of [`core::network::ARRIVAL_BATCH`] by a self-rescheduling
+//!   wake event, so the queue never holds more than one batch of future
+//!   arrivals. A materialised workload (`Experiment::run_with_workload`)
+//!   goes through the same batch pump, and the stream reproduces
+//!   `WorkloadSpec::generate`'s draw order exactly: streamed and
+//!   materialised runs are byte-identical.
 //! * **Streaming metrics** — the metrics recorder buffers satisfied
 //!   requests exactly up to a threshold (65 536 by default; the
 //!   `QNET_EXACT_SAMPLES` environment variable overrides it), then folds

@@ -23,7 +23,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use qnet_sim::{Engine, EventQueue, SimDuration, SimTime, World};
+//! use qnet_sim::{run_until, EventQueue, SimDuration, SimTime, World};
 //!
 //! #[derive(Debug, Clone, PartialEq, Eq)]
 //! enum Ev { Ping(u32) }
@@ -41,10 +41,13 @@
 //!     }
 //! }
 //!
-//! let mut engine = Engine::new(Model { pings: 0 });
-//! engine.queue_mut().schedule_at(SimTime::ZERO, Ev::Ping(0));
-//! engine.run_to_completion();
-//! assert_eq!(engine.world().pings, 11);
+//! // The queue a model is seeded into is the queue that runs it.
+//! let mut model = Model { pings: 0 };
+//! let mut queue = EventQueue::new();
+//! queue.schedule_at(SimTime::ZERO, Ev::Ping(0));
+//! let ended = run_until(&mut model, &mut queue, SimTime::MAX);
+//! assert_eq!(model.pings, 11);
+//! assert_eq!(ended, SimTime::from_millis(10));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,7 +60,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Engine, RunResult, StopCondition, World};
+pub use engine::{run_until, World};
 pub use event::{EventQueue, ScheduledEvent};
 pub use process::PoissonProcess;
 pub use rng::SimRng;
