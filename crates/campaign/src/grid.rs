@@ -350,11 +350,12 @@ impl ScenarioGrid {
     /// times positive, both finite; a non-trivial coherence-time
     /// axis does not combine with decoherent physics; there is at least
     /// one replicate; the horizon and both rates are positive and finite;
-    /// and the swap-scan interval `1/swap_scan_rate` is at least one clock
-    /// tick (1 ns), or a scan would reschedule itself at the same instant
-    /// forever. NaN fails every numeric rule. Every float that passes
-    /// survives the JSON round trip (a non-finite one would be written as
-    /// `null`).
+    /// and the generation and swap-scan intervals `1/rate` are at least one
+    /// clock tick (1 ns), or a process would reschedule itself at the same
+    /// instant forever (a positive gossip refresh period obeys the same
+    /// rule, in [`KnowledgeModel::check`]). NaN fails every numeric rule.
+    /// Every float that passes survives the JSON round trip (a non-finite
+    /// one would be written as `null`).
     ///
     /// The builders panic when a rule fails; grid descriptors read from
     /// files (`--grid-file`, shard headers, orchestrator run directories)
@@ -413,11 +414,15 @@ impl ScenarioGrid {
                 return Err(format!("{what} must be positive and finite (got {value})"));
             }
         }
-        if 1.0 / self.swap_scan_rate < 1e-9 {
-            return Err(format!(
-                "swap scan interval must be at least one 1 ns clock tick (got rate {})",
-                self.swap_scan_rate
-            ));
+        for (what, rate) in [
+            ("generation", self.generation_rate),
+            ("swap scan", self.swap_scan_rate),
+        ] {
+            if 1.0 / rate < 1e-9 {
+                return Err(format!(
+                    "{what} interval must be at least one 1 ns clock tick (got rate {rate})"
+                ));
+            }
         }
         Ok(())
     }
@@ -611,6 +616,7 @@ pub fn derive_seed(master: u64, cell: u64, replicate: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qnet_sim::SimDuration;
     use serde::Value;
 
     fn small_grid() -> ScenarioGrid {
@@ -943,6 +949,18 @@ mod tests {
                 "1e10".to_string(),
                 "swap scan interval must be at least one 1 ns clock tick",
             ),
+            // Periodic generation at 1e10 Hz, or a 1e-12 s gossip period,
+            // rounds its interval to 0 ns the same way.
+            (
+                "generation_rate",
+                "1e10".to_string(),
+                "generation interval must be at least one 1 ns clock tick",
+            ),
+            (
+                "knowledge",
+                r#"[{"Gossip":{"peers_per_refresh":2,"refresh_period_s":1e-12}}]"#.to_string(),
+                "a positive gossip refresh period must be at least one 1 ns clock tick",
+            ),
             (
                 "generation_rate",
                 "1e400".to_string(),
@@ -1268,8 +1286,9 @@ mod tests {
 
     /// Floats a grid descriptor may carry: in range, out of range,
     /// non-finite (`1e400` parses as +inf, which a JSON round trip turns
-    /// into `null`), and past the clock-tick limit of the swap-scan rate.
-    const FLOATS: [f64; 9] = [
+    /// into `null`), and past the clock-tick limit of the rates and the
+    /// gossip period.
+    const FLOATS: [f64; 10] = [
         2.5,
         0.0,
         -1.0,
@@ -1279,6 +1298,7 @@ mod tests {
         1e10,
         1e300,
         5e-324,
+        1e-12,
     ];
 
     /// `small_grid` with each float field taken from `values` where it
@@ -1301,7 +1321,9 @@ mod tests {
     proptest::proptest! {
         /// Every grid that passes `check` reads back from its own JSON
         /// descriptor (as `--grid-file`, shard headers and orchestrator
-        /// run directories carry it) with an equal fingerprint. Each case
+        /// run directories carry it) with an equal fingerprint, and none
+        /// of its periodic processes (generation, swap scans, gossip
+        /// exchanges) has an interval that rounds to 0 ns. Each case
         /// puts one of [`FLOATS`] into each float field in turn, then
         /// mixes values across all six fields.
         #[test]
@@ -1320,6 +1342,17 @@ mod tests {
                 FLOATS.get(picks[field]).copied()
             })));
             for grid in grids.into_iter().filter(|grid| grid.check().is_ok()) {
+                let KnowledgeModel::Gossip { refresh_period_s, .. } = grid.knowledge[0] else {
+                    unreachable!("grid_with_floats sets gossip knowledge")
+                };
+                let period = if refresh_period_s > 0.0 {
+                    refresh_period_s
+                } else {
+                    1.0 / grid.swap_scan_rate
+                };
+                for interval in [1.0 / grid.generation_rate, 1.0 / grid.swap_scan_rate, period] {
+                    proptest::prop_assert!(!SimDuration::from_secs_f64(interval).is_zero(), "{:?}", grid);
+                }
                 let text = serde_json::to_string(&grid).unwrap();
                 let back = ScenarioGrid::from_json(&text);
                 proptest::prop_assert!(back.is_ok(), "{:?} from {}", back, text);

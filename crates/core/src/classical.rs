@@ -148,7 +148,9 @@ impl KnowledgeModel {
 
     /// The value rules every runnable model satisfies: gossip refreshes at
     /// least one peer per exchange, and its period is finite and `≥ 0`
-    /// (`0` couples exchanges to the swap-scan cadence). NaN fails.
+    /// (`0` couples exchanges to the swap-scan cadence). A positive period
+    /// is at least one clock tick (1 ns), or an exchange would reschedule
+    /// itself at the same instant forever. NaN fails.
     pub fn check(&self) -> Result<(), String> {
         match *self {
             KnowledgeModel::Gossip {
@@ -160,6 +162,12 @@ impl KnowledgeModel {
                 ..
             } if !(t >= 0.0 && t.is_finite()) => Err(format!(
                 "gossip refresh period must be finite and ≥ 0 (got {t})"
+            )),
+            KnowledgeModel::Gossip {
+                refresh_period_s: t,
+                ..
+            } if t > 0.0 && t < 1e-9 => Err(format!(
+                "a positive gossip refresh period must be at least one 1 ns clock tick (got {t})"
             )),
             _ => Ok(()),
         }
@@ -261,6 +269,8 @@ mod tests {
         }
         assert!(KnowledgeModel::parse("gossip:0").is_err());
         assert!(KnowledgeModel::parse("gossip:2:-1").is_err());
+        assert!(KnowledgeModel::parse("gossip:2:1e-12").is_err());
+        assert!(KnowledgeModel::parse("gossip:2:1e-9").is_ok());
         assert!(KnowledgeModel::parse("psychic").is_err());
     }
 

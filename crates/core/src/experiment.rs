@@ -196,7 +196,8 @@ impl Experiment {
 
     /// Run with an explicitly supplied workload (used by ablations that pin
     /// the request sequence across configurations). Its requests go through
-    /// the same batch pump as [`Experiment::run`]'s stream.
+    /// the same arrival pump as [`Experiment::run`]'s stream, all at
+    /// construction: they are in memory already.
     pub fn run_with_workload(&self, workload: Workload) -> ExperimentResult {
         let config = &self.config;
         self.drive(|queue| {
@@ -401,8 +402,8 @@ mod tests {
     #[test]
     fn lazy_open_loop_matches_eager_scheduling() {
         // `run()` streams open-loop arrivals in batches, and
-        // `run_with_workload` pumps the materialised workload through the
-        // same batches. Full results (every satisfied request, every
+        // `run_with_workload` pumps the materialised workload whole through
+        // the same pump. Full results (every satisfied request, every
         // counter) must equal the eager reference's across policies and
         // seeds — the differential pin for the batch pump.
         for mode in [

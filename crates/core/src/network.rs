@@ -11,9 +11,9 @@
 //!
 //! Requests are **injected over simulated time**: every
 //! [`ConsumptionRequest`] is scheduled as a [`NetEvent::RequestArrival`]
-//! at its arrival time, [`ARRIVAL_BATCH`] at a time, so open-loop traffic
-//! models interleave arrivals with generation and swap scans, and the
-//! pending queue a policy sees can grow mid-run. Closed-loop batches
+//! at its arrival time (a drawn stream [`ARRIVAL_BATCH`] at a time), so
+//! open-loop traffic models interleave arrivals with generation and swap
+//! scans, and the pending queue a policy sees can grow mid-run. Closed-loop batches
 //! degenerate to all arrivals at `t = 0`, reproducing the paper's
 //! sequential semantics (and the pre-traffic-model results) exactly. The
 //! run ends when the horizon is reached or when the queue is drained *and*
@@ -158,8 +158,8 @@ pub struct QuantumNetworkWorld {
 
 impl QuantumNetworkWorld {
     /// Build the model and seed `queue`, the queue that will run it, with
-    /// the initial generation and scan events and the workload's first
-    /// [`ARRIVAL_BATCH`] requests (see [`Self::with_arrival_stream`]).
+    /// the initial generation and scan events and every request of the
+    /// workload (see [`Self::with_arrival_stream`]).
     pub fn new(
         config: NetworkConfig,
         workload: Workload,
@@ -174,12 +174,14 @@ impl QuantumNetworkWorld {
 
     /// Build the model with a lazy [`ArrivalStream`] instead of a
     /// materialised [`Workload`], so memory stays flat however long the
-    /// open-loop horizon is. Either way only [`ARRIVAL_BATCH`] arrivals are
-    /// scheduled at a time, with a self-rescheduling
+    /// open-loop horizon is. A drawn stream is scheduled [`ARRIVAL_BATCH`]
+    /// arrivals at a time, with a self-rescheduling
     /// [`NetEvent::ArrivalWake`] pumping the next batch: closed-loop
     /// batches all arrive at t = 0, after every seeded event at that
     /// instant, and open-loop traffic interleaves with the physical
-    /// processes. A drawn stream yields exactly the requests
+    /// processes. A listed stream (a [`Workload`], as [`Self::new`] passes
+    /// it) is scheduled whole by the same pump, with no wake. A drawn
+    /// stream yields exactly the requests
     /// [`crate::workload::WorkloadSpec::generate`] materialises, so both
     /// constructors run the same events.
     pub fn with_arrival_stream(
@@ -310,13 +312,21 @@ impl QuantumNetworkWorld {
     /// plus one [`NetEvent::ArrivalWake`] at the last scheduled arrival time
     /// when the stream may have more to give. The wake is scheduled after
     /// its co-timed arrival (later seq), so the next batch is pumped exactly
-    /// when the queue would otherwise run out of arrivals.
+    /// when the queue would otherwise run out of arrivals. A listed stream
+    /// is already in memory and is scheduled whole, so its arrival times
+    /// need not be ordered: a batch boundary would schedule the next batch
+    /// at the last arrival time of this one.
     fn pump_arrivals(&mut self, queue: &mut EventQueue<NetEvent>) {
         let Some(stream) = self.arrival_stream.as_mut() else {
             return;
         };
+        let batch = if stream.is_listed() {
+            usize::MAX
+        } else {
+            ARRIVAL_BATCH
+        };
         let mut last_at = None;
-        for _ in 0..ARRIVAL_BATCH {
+        for _ in 0..batch {
             match stream.next_request() {
                 Some(request) => {
                     self.arrivals_outstanding += 1;
@@ -1453,7 +1463,7 @@ mod tests {
         /// hook stream of the eager reference, which schedules every
         /// request up front and re-stages its queue onto the run queue.
         /// Closed batches and open-loop traffic both reach past
-        /// `ARRIVAL_BATCH`, so runs cross arrival wakes; the disciplines
+        /// `ARRIVAL_BATCH`, so drawn runs cross arrival wakes; the disciplines
         /// cover head-of-line and any-order draining, under global and
         /// `gossip:1:2` knowledge.
         #[test]
@@ -1522,6 +1532,50 @@ mod tests {
             prop_assert_eq!(&listed, &reference);
             prop_assert_eq!(&drawn, &reference);
         }
+    }
+
+    #[test]
+    fn a_listed_workload_is_scheduled_whole() {
+        // More requests than `ARRIVAL_BATCH`, in descending arrival order.
+        // A listed stream is scheduled at construction with no wake, as
+        // the eager reference schedules it, so no later batch lands behind
+        // an arrival time the run has already passed.
+        use crate::workload::WorkloadSpec;
+
+        let config = NetworkConfig::new(Topology::Cycle { nodes: 6 });
+        let mut workload = WorkloadSpec::open_loop(6, 4, 300.0, 10.0).generate(3);
+        assert!(workload.len() > 2 * ARRIVAL_BATCH, "{}", workload.len());
+        workload.requests.reverse();
+        let build = |eager: bool, queue: &mut EventQueue<NetEvent>| {
+            let (policy, knowledge) = (PolicyId::OBLIVIOUS.instantiate(), KnowledgeModel::Global);
+            if eager {
+                QuantumNetworkWorld::with_eager_arrivals(
+                    config,
+                    workload.clone(),
+                    policy,
+                    knowledge,
+                    3,
+                    queue,
+                )
+            } else {
+                QuantumNetworkWorld::new(config, workload.clone(), policy, knowledge, 3, queue)
+            }
+        };
+        let mut queue = EventQueue::new();
+        build(false, &mut queue);
+        let (mut wakes, mut arrivals) = (0, 0);
+        while let Some(ev) = queue.pop() {
+            match ev.event {
+                NetEvent::ArrivalWake => wakes += 1,
+                NetEvent::RequestArrival { .. } => arrivals += 1,
+                _ => {}
+            }
+        }
+        assert_eq!((wakes, arrivals), (0, workload.len()));
+        assert_eq!(
+            hooked_run(|queue| build(false, queue)),
+            hooked_run(|queue| build(true, queue))
+        );
     }
 
     /// Counts the blocked-request offers each request sequence receives.

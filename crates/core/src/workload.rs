@@ -252,12 +252,17 @@ impl WorkloadSpec {
         consumers.shrink_to_fit();
         consumers.sort_unstable();
 
-        let zipf_cdf = match self.selection {
-            PairSelection::ZipfSkew { s } => Some(zipf_cdf(consumers.len(), s)),
-            _ => None,
+        let picker = PairPicker {
+            selection: self.selection,
+            zipf_cdf: match self.selection {
+                PairSelection::ZipfSkew { s } => Some(zipf_cdf(consumers.len(), s)),
+                _ => None,
+            },
+            rng,
         };
-        let traffic = match self.traffic {
-            TrafficModel::ClosedLoopBatch { requests } => TrafficState::Closed {
+        let source = match self.traffic {
+            TrafficModel::ClosedLoopBatch { requests } => Source::Closed {
+                picker,
                 remaining: requests,
             },
             TrafficModel::OpenLoopPoisson { rate_hz, horizon_s } => {
@@ -266,7 +271,8 @@ impl WorkloadSpec {
                     horizon_s > 0.0 && horizon_s.is_finite(),
                     "arrival horizon must be positive and finite"
                 );
-                TrafficState::Open {
+                Source::Open {
+                    picker,
                     rng: SimRng::new(seed).derive("arrivals"),
                     rate_hz,
                     horizon_s,
@@ -278,32 +284,58 @@ impl WorkloadSpec {
 
         ArrivalStream {
             consumers,
-            selection: self.selection,
-            zipf_cdf,
-            selection_rng: rng,
-            traffic,
+            source,
             next_seq: 0,
         }
     }
 }
 
-/// Traffic-model position of an [`ArrivalStream`].
+/// Where an [`ArrivalStream`]'s requests come from: a materialised list,
+/// or a traffic model whose requests are drawn one at a time (an arrival
+/// time from the model, then a pair from the picker).
 #[derive(Debug, Clone)]
-enum TrafficState {
+enum Source {
     /// A materialised workload's requests, replayed in order with their
     /// own pairs.
     Listed(std::vec::IntoIter<ConsumptionRequest>),
     /// Closed-loop batch: `remaining` requests left, all at `t = 0`.
-    Closed { remaining: usize },
+    Closed {
+        picker: PairPicker,
+        remaining: usize,
+    },
     /// Open-loop Poisson: the `"arrivals"` RNG plus the current arrival
     /// clock, exhausted once a gap overshoots the horizon.
     Open {
+        picker: PairPicker,
         rng: SimRng,
         rate_hz: f64,
         horizon_s: f64,
         t: f64,
         exhausted: bool,
     },
+}
+
+/// The pair-selection state of a drawn stream.
+#[derive(Debug, Clone)]
+struct PairPicker {
+    selection: PairSelection,
+    zipf_cdf: Option<Vec<f64>>,
+    /// The `"workload"` RNG, positioned just past the consumer shuffle.
+    rng: SimRng,
+}
+
+impl PairPicker {
+    /// The pair of the `sequence`-th request.
+    fn pick(&mut self, consumers: &[NodePair], sequence: u64) -> NodePair {
+        match self.selection {
+            PairSelection::UniformRandom => *self.rng.choose(consumers).expect("non-empty"),
+            PairSelection::RoundRobin => consumers[(sequence as usize) % consumers.len()],
+            PairSelection::ZipfSkew { .. } => {
+                let cdf = self.zipf_cdf.as_deref().expect("computed at construction");
+                consumers[sample_cdf(cdf, self.rng.uniform())]
+            }
+        }
+    }
 }
 
 /// A lazily evaluated request sequence: the self-contained generator state
@@ -316,11 +348,7 @@ enum TrafficState {
 #[derive(Debug, Clone)]
 pub struct ArrivalStream {
     consumers: Vec<NodePair>,
-    selection: PairSelection,
-    zipf_cdf: Option<Vec<f64>>,
-    /// The `"workload"` RNG, positioned just past the consumer shuffle.
-    selection_rng: SimRng,
-    traffic: TrafficState,
+    source: Source,
     next_seq: u64,
 }
 
@@ -335,31 +363,30 @@ impl ArrivalStream {
         self.next_seq
     }
 
+    /// Whether the stream replays a materialised [`Workload`], whose
+    /// requests are all in memory already.
+    pub(crate) fn is_listed(&self) -> bool {
+        matches!(self.source, Source::Listed(_))
+    }
+
     /// The next request, or `None` once the traffic model is exhausted
     /// (permanently: the stream is fused).
     pub fn next_request(&mut self) -> Option<ConsumptionRequest> {
-        let ArrivalStream {
-            consumers,
-            selection,
-            zipf_cdf,
-            selection_rng,
-            traffic,
-            next_seq,
-        } = self;
-        let arrival_time = match traffic {
-            TrafficState::Listed(requests) => {
+        let (picker, arrival_time) = match &mut self.source {
+            Source::Listed(requests) => {
                 let request = requests.next()?;
-                *next_seq += 1;
+                self.next_seq += 1;
                 return Some(request);
             }
-            TrafficState::Closed { remaining } => {
+            Source::Closed { picker, remaining } => {
                 if *remaining == 0 {
                     return None;
                 }
                 *remaining -= 1;
-                SimTime::ZERO
+                (picker, SimTime::ZERO)
             }
-            TrafficState::Open {
+            Source::Open {
+                picker,
                 rng,
                 rate_hz,
                 horizon_s,
@@ -374,22 +401,14 @@ impl ArrivalStream {
                     *exhausted = true;
                     return None;
                 }
-                SimTime::from_secs_f64(*t)
+                (picker, SimTime::from_secs_f64(*t))
             }
         };
-        let pair = match selection {
-            PairSelection::UniformRandom => *selection_rng.choose(consumers).expect("non-empty"),
-            PairSelection::RoundRobin => consumers[(*next_seq as usize) % consumers.len()],
-            PairSelection::ZipfSkew { .. } => {
-                let cdf = zipf_cdf.as_deref().expect("computed at construction");
-                consumers[sample_cdf(cdf, selection_rng.uniform())]
-            }
-        };
-        let sequence = *next_seq;
-        *next_seq += 1;
+        let sequence = self.next_seq;
+        self.next_seq += 1;
         Some(ConsumptionRequest {
             sequence,
-            pair,
+            pair: picker.pick(&self.consumers, sequence),
             arrival_time,
         })
     }
@@ -397,14 +416,11 @@ impl ArrivalStream {
 
 impl From<Workload> for ArrivalStream {
     /// Replay a materialised workload: its requests in order, each with
-    /// its own pair, so the pair-selection state is never read.
+    /// its own pair and arrival time.
     fn from(workload: Workload) -> Self {
         ArrivalStream {
             consumers: workload.consumers,
-            selection: PairSelection::UniformRandom,
-            zipf_cdf: None,
-            selection_rng: SimRng::new(0),
-            traffic: TrafficState::Listed(workload.requests.into_iter()),
+            source: Source::Listed(workload.requests.into_iter()),
             next_seq: 0,
         }
     }

@@ -274,7 +274,8 @@
 //!   batches of [`core::network::ARRIVAL_BATCH`] by a self-rescheduling
 //!   wake event, so the queue never holds more than one batch of future
 //!   arrivals. A materialised workload (`Experiment::run_with_workload`)
-//!   goes through the same batch pump, and the stream reproduces
+//!   goes through the same pump in one batch, as its requests are in
+//!   memory already, and the stream reproduces
 //!   `WorkloadSpec::generate`'s draw order exactly: streamed and
 //!   materialised runs are byte-identical.
 //! * **Streaming metrics** — the metrics recorder buffers satisfied
