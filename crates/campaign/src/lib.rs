@@ -6,7 +6,7 @@
 //! ad-hoc loops into declarative, parallel, reproducible **campaigns**:
 //!
 //! 1. **Declare** a [`ScenarioGrid`]: the cartesian product of topology
-//!    families, swap policies (by registry name — see
+//!    families, swap policies (by name — see
 //!    [`qnet_core::policy`]), distillation overheads, knowledge models,
 //!    coherence times, link-physics models (see [`qnet_core::physics`])
 //!    and workload specs, × a replicate count. The grid
@@ -87,14 +87,13 @@ pub mod report;
 pub mod runner;
 pub mod shard;
 
-use qnet_core::policy::{registered_policies, PolicyFamily};
+use qnet_core::policy::{PolicyFamily, POLICIES};
 
-/// The `campaign --list-policies` text: one line per policy in the
-/// process-global registry (built-ins plus anything registered through
-/// [`qnet_core::policy::register`]), in registration order.
+/// The `campaign --list-policies` text: one line per row of the policy
+/// table [`qnet_core::policy::POLICIES`], in table order.
 pub fn policy_listing() -> String {
     let mut out = String::new();
-    for entry in registered_policies() {
+    for entry in POLICIES {
         let family = match entry.family {
             PolicyFamily::Oblivious => "oblivious",
             PolicyFamily::Planned => "planned",

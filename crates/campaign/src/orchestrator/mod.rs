@@ -305,6 +305,12 @@ pub fn orchestrate(
     if config.workers == 0 {
         return Err("orchestrate needs at least 1 worker".to_string());
     }
+    if let Some(inject) = config.inject_abort.filter(|i| i.shard >= config.workers) {
+        return Err(format!(
+            "inject-abort shard {} is out of range for {} worker(s) (shards 0..{})",
+            inject.shard, config.workers, config.workers
+        ));
+    }
     if config.max_attempts == 0 {
         return Err("max attempts must be at least 1".to_string());
     }
@@ -427,6 +433,26 @@ mod tests {
         let err = load_run_dir(&dir).unwrap_err();
         assert!(err.contains("does not match"), "{err}");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fresh_orchestrate_rejects_an_out_of_range_inject_abort() {
+        // The hook would never fire, so the run would pass without ever
+        // exercising a retry. It is rejected before the run directory is
+        // made.
+        let dir = std::env::temp_dir().join(format!("qnet-orch-inject-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut config = OrchestratorConfig::new(2, &dir);
+        config.inject_abort = Some(InjectAbort {
+            shard: 2,
+            abort_after: 1,
+        });
+        let err = orchestrate(&tiny_grid(), &config).unwrap_err();
+        assert_eq!(
+            err,
+            "inject-abort shard 2 is out of range for 2 worker(s) (shards 0..2)"
+        );
+        assert!(!dir.exists(), "no run directory is made");
     }
 
     #[test]

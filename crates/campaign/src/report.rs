@@ -158,9 +158,13 @@ pub struct CampaignReport {
 }
 
 /// Fold one cell's outcomes (already in replicate order) into a report.
-fn aggregate_cell(key: CellKey, outcomes: &[ScenarioOutcome]) -> CellReport {
+fn aggregate_cell<'a>(
+    key: CellKey,
+    outcomes: impl IntoIterator<Item = &'a ScenarioOutcome>,
+) -> CellReport {
+    let mut replicates = 0u32;
     let mut overhead = RunningStats::new();
-    let mut samples: Vec<f64> = Vec::with_capacity(outcomes.len());
+    let mut samples: Vec<f64> = Vec::new();
     let mut satisfaction = 0.0f64;
     let mut swaps_total = 0u64;
     let mut pairs_total = 0u64;
@@ -183,6 +187,7 @@ fn aggregate_cell(key: CellKey, outcomes: &[ScenarioOutcome]) -> CellReport {
     let mut stale_age_p95 = RunningStats::new();
 
     for o in outcomes {
+        replicates += 1;
         if let Some(x) = o.swap_overhead {
             overhead.record(x);
             samples.push(x);
@@ -223,7 +228,6 @@ fn aggregate_cell(key: CellKey, outcomes: &[ScenarioOutcome]) -> CellReport {
     samples.sort_by(f64::total_cmp);
 
     let n = overhead.count();
-    let replicates = outcomes.len() as u32;
     let ci95 = overhead.ci95_half_width();
 
     CellReport {
@@ -314,7 +318,8 @@ pub fn overhead_ratios(cell_reports: &[CellReport]) -> Vec<OverheadRatioRow> {
     rows
 }
 
-/// Aggregate a finished campaign into its deterministic report.
+/// Aggregate a finished campaign into its deterministic report: the
+/// fully covered case of [`aggregate_covered`].
 ///
 /// # Panics
 /// Panics if `result` does not cover the grid densely — a single shard's
@@ -326,24 +331,7 @@ pub fn aggregate(grid: &ScenarioGrid, result: &CampaignResult) -> CampaignReport
         grid.scenario_count(),
         "aggregate needs the dense outcome vector (merge shard results first)"
     );
-    let replicates = grid.replicates as usize;
-    let mut cell_reports = Vec::with_capacity(grid.cell_count());
-    for cell in 0..grid.cell_count() {
-        let start = cell * replicates;
-        let end = start + replicates;
-        let outcomes = &result.outcomes[start..end];
-        debug_assert!(outcomes.iter().all(|o| o.cell == cell));
-        cell_reports.push(aggregate_cell(grid.cell_key(cell), outcomes));
-    }
-    let ratios = overhead_ratios(&cell_reports);
-    CampaignReport {
-        master_seed: grid.master_seed,
-        cells: grid.cell_count(),
-        scenarios: grid.scenario_count(),
-        replicates: grid.replicates,
-        cell_reports,
-        ratios,
-    }
+    aggregate_covered(grid, &result.outcomes)
 }
 
 /// Aggregate a **partially covered** campaign: only cells whose replicates
@@ -353,12 +341,11 @@ pub fn aggregate(grid: &ScenarioGrid, result: &CampaignResult) -> CampaignReport
 /// cache's supersede rule).
 ///
 /// This is the live-merge path of the orchestrator: as shards seal, the
-/// partial report grows cell by cell. Once every scenario is covered the
-/// output is **identical** to [`aggregate`] — the `scenarios` header field
-/// counts covered scenarios, so a fully covered partial report equals the
-/// final one byte for byte.
+/// partial report grows cell by cell. [`aggregate`] is its fully covered
+/// case: the `scenarios` header field counts covered scenarios, so a
+/// fully covered partial report equals the final one byte for byte.
 pub fn aggregate_covered(grid: &ScenarioGrid, outcomes: &[ScenarioOutcome]) -> CampaignReport {
-    let replicates = (grid.replicates.max(1)) as usize;
+    let replicates = grid.replicates as usize;
     let mut slots: Vec<Option<&ScenarioOutcome>> = vec![None; grid.scenario_count()];
     for o in outcomes {
         if let Some(slot) = slots.get_mut(o.id) {
@@ -370,11 +357,8 @@ pub fn aggregate_covered(grid: &ScenarioGrid, outcomes: &[ScenarioOutcome]) -> C
     for cell in 0..grid.cell_count() {
         let cell_slots = &slots[cell * replicates..(cell + 1) * replicates];
         if cell_slots.iter().all(Option::is_some) {
-            let owned: Vec<ScenarioOutcome> = cell_slots
-                .iter()
-                .map(|o| (*o.as_ref().expect("checked")).clone())
-                .collect();
-            cell_reports.push(aggregate_cell(grid.cell_key(cell), &owned));
+            let outcomes = cell_slots.iter().flatten().copied();
+            cell_reports.push(aggregate_cell(grid.cell_key(cell), outcomes));
             covered += replicates;
         }
     }

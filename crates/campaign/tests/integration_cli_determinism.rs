@@ -9,6 +9,9 @@
 //! gossiping grid (nonzero refresh period, so rows age and swaps can miss)
 //! must be byte-identical cold, warm from its own outcome cache, and
 //! recombined from a 2-way shard split.
+//!
+//! The last test pins the help and `--list-*` text byte for byte against
+//! `data/cli_text.txt`.
 
 use std::fs;
 use std::path::Path;
@@ -197,4 +200,41 @@ fn bad_input_exits_1_with_a_message_never_101() {
         assert!(stderr.starts_with("campaign: "), "{args:?}: {stderr}");
     }
     fs::remove_dir_all(&base).ok();
+}
+
+/// The help and `--list-*` invocations pinned by `data/cli_text.txt`, each
+/// with the stream it prints on. The golden holds each output after a
+/// `==> campaign ARGS (STREAM)` header line.
+const CLI_TEXT: [(&str, &str); 8] = [
+    ("--help", "stderr"),
+    ("merge --help", "stderr"),
+    ("orchestrate --help", "stderr"),
+    ("--list-policies", "stdout"),
+    ("--list-workloads", "stdout"),
+    ("--list-topologies", "stdout"),
+    ("--list-physics", "stdout"),
+    ("--list-fabrics", "stdout"),
+];
+
+#[test]
+fn help_and_listing_text_matches_the_golden() {
+    let mut text = Vec::new();
+    for (args, stream) in CLI_TEXT {
+        let output = Command::new(campaign_bin())
+            .args(args.split(' '))
+            .output()
+            .expect("spawn campaign binary");
+        assert!(output.status.success(), "campaign {args} failed");
+        text.extend(format!("==> campaign {args} ({stream})\n").bytes());
+        text.extend(match stream {
+            "stderr" => output.stderr,
+            _ => output.stdout,
+        });
+    }
+    let golden = include_str!("data/cli_text.txt");
+    assert!(
+        text == golden.as_bytes(),
+        "CLI text drifted from tests/data/cli_text.txt:\n{}",
+        String::from_utf8_lossy(&text)
+    );
 }

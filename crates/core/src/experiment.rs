@@ -2,7 +2,7 @@
 //!
 //! [`Experiment`] owns the full recipe of one §5-style run (network
 //! configuration, workload, swap policy, knowledge model, seed, horizon),
-//! resolves the policy from the [`crate::policy`] registry, builds the
+//! resolves the policy from the [`crate::policy`] table, builds the
 //! world into the queue that runs it, runs it to the horizon with
 //! [`qnet_sim::run_until`] and returns an [`ExperimentResult`]
 //! that carries both the headline swap-overhead number and the full
@@ -32,7 +32,7 @@ pub struct ExperimentConfig {
     pub network: NetworkConfig,
     /// The consumption workload specification.
     pub workload: WorkloadSpec,
-    /// Which swap policy to run, by registry name. (The field keeps its
+    /// Which swap policy to run, by name. (The field keeps its
     /// pre-plugin-API name `mode` so serialized configs round-trip.)
     pub mode: PolicyId,
     /// How nodes learn remote buffer counts.

@@ -44,7 +44,7 @@
 //! ```
 //!
 //! Swapping disciplines are plugins: see [`policy`] for the [`SwapPolicy`]
-//! trait, the registry, and the built-in implementations, and [`observer`]
+//! trait, the policy table, and the built-in implementations, and [`observer`]
 //! for the metrics-sink hooks the simulation world fires.
 
 #![forbid(unsafe_code)]
@@ -79,9 +79,7 @@ pub use lp_model::{LpObjective, SteadyStateModel};
 pub use nested::nested_swap_cost;
 pub use observer::{MetricsRecorder, RunObserver};
 pub use physics::{ConsumeOrder, PhysicsModel};
-pub use policy::{
-    PolicyCtx, PolicyFamily, PolicyId, PolicyRegistry, QueueDiscipline, RequestAction, SwapPolicy,
-};
+pub use policy::{PolicyCtx, PolicyFamily, PolicyId, QueueDiscipline, RequestAction, SwapPolicy};
 pub use rates::RateMatrices;
 pub use trace::TraceWriter;
 pub use workload::{ConsumptionRequest, PairSelection, TrafficModel, Workload, WorkloadSpec};

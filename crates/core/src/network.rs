@@ -21,7 +21,7 @@
 //!
 //! It implements [`qnet_sim::World`]: a constructor seeds the queue it is
 //! handed, and [`qnet_sim::run_until`] runs the world on that same queue.
-//! [`crate::experiment`] resolves a policy from the registry, runs the
+//! [`crate::experiment`] resolves a policy from the policy table, runs the
 //! world to the horizon and extracts the metrics.
 
 use crate::balancer::SwapCandidate;
@@ -1125,9 +1125,6 @@ mod tests {
     }
 
     impl SwapPolicy for AnyOrderWrapper {
-        fn id(&self) -> PolicyId {
-            self.inner.id()
-        }
         fn schedules_swap_scans(&self) -> bool {
             self.inner.schedules_swap_scans()
         }
@@ -1586,9 +1583,6 @@ mod tests {
     }
 
     impl SwapPolicy for OfferCounter {
-        fn id(&self) -> PolicyId {
-            self.inner.id()
-        }
         fn schedules_swap_scans(&self) -> bool {
             self.inner.schedules_swap_scans()
         }

@@ -1,5 +1,5 @@
-//! A staleness-aware variant of the oblivious balancer, registered through
-//! the [`SwapPolicy`] plugin API.
+//! A staleness-aware variant of the oblivious balancer, added through the
+//! [`SwapPolicy`] plugin API as one row of [`super::POLICIES`].
 //!
 //! Under the stale control plane the §4 balancer reads believed beneficiary
 //! counts that may be many refresh periods old. A believed count read long
@@ -13,8 +13,7 @@
 //! balancer helps it sooner. Under global knowledge there are no ages and
 //! the discipline degrades to exactly the oblivious balancer.
 
-use super::{oblivious::ObliviousPolicy, PolicyCtx, PolicyId};
-use super::{RequestAction, SwapPolicy};
+use super::{oblivious::ObliviousPolicy, PolicyCtx, RequestAction, SwapPolicy};
 use crate::balancer::{BalancerPolicy, CountView, SwapCandidate};
 use crate::control::KnowledgeView;
 use crate::workload::ConsumptionRequest;
@@ -71,10 +70,6 @@ impl GossipAwarePolicy {
 }
 
 impl SwapPolicy for GossipAwarePolicy {
-    fn id(&self) -> PolicyId {
-        PolicyId::GOSSIP_AWARE
-    }
-
     fn schedules_swap_scans(&self) -> bool {
         true
     }
@@ -117,6 +112,7 @@ impl SwapPolicy for GossipAwarePolicy {
 mod tests {
     use super::*;
     use crate::inventory::Inventory;
+    use crate::policy::PolicyId;
     use qnet_topology::NodeId;
 
     fn pair(a: u32, b: u32) -> NodePair {

@@ -25,7 +25,7 @@
 //! API rather than a hard-coded protocol enum.
 
 use super::planned::PathCache;
-use super::{PolicyCtx, PolicyId, RequestAction, SwapPolicy};
+use super::{PolicyCtx, RequestAction, SwapPolicy};
 use crate::planned::{plan_nested, Split};
 use crate::workload::ConsumptionRequest;
 
@@ -44,10 +44,6 @@ impl GreedyOrderPolicy {
 }
 
 impl SwapPolicy for GreedyOrderPolicy {
-    fn id(&self) -> PolicyId {
-        PolicyId::GREEDY
-    }
-
     fn on_blocked_request(
         &mut self,
         ctx: &mut PolicyCtx<'_>,
@@ -91,6 +87,7 @@ mod tests {
     use crate::config::NetworkConfig;
     use crate::inventory::Inventory;
     use crate::planned::execute_nested_along_path;
+    use crate::policy::PolicyId;
     use crate::test_support::{pair, run_world};
     use crate::workload::Workload;
     use qnet_topology::{NodeId, Topology};

@@ -1,7 +1,7 @@
 //! The §6 hybrid "oblivious + minimal planning" discipline as a
 //! [`SwapPolicy`].
 
-use super::{oblivious::ObliviousPolicy, PolicyCtx, PolicyId, RequestAction, SwapPolicy};
+use super::{oblivious::ObliviousPolicy, PolicyCtx, RequestAction, SwapPolicy};
 use crate::balancer::{BalancerPolicy, CountView, SwapCandidate};
 use crate::control::OwnerAwareView;
 use crate::hybrid::{hybrid_repair, EntanglementSearch};
@@ -30,10 +30,6 @@ impl HybridPolicy {
 }
 
 impl SwapPolicy for HybridPolicy {
-    fn id(&self) -> PolicyId {
-        PolicyId::HYBRID
-    }
-
     fn schedules_swap_scans(&self) -> bool {
         true
     }
@@ -123,6 +119,7 @@ mod tests {
     use crate::hybrid::entanglement_bfs;
     use crate::hybrid::reference::graph_from_pairs;
     use crate::inventory::Inventory;
+    use crate::policy::PolicyId;
     use crate::test_support::{pair, run_world};
     use crate::workload::Workload;
     use proptest::prelude::*;

@@ -15,15 +15,18 @@
 //!   ([`SwapPolicy::on_blocked_request`]), in what order the request queue
 //!   is drained ([`SwapPolicy::queue_discipline`]), and any end-of-run
 //!   accounting ([`SwapPolicy::on_run_end`]).
-//! * [`PolicyId`] — a cheap, `Copy` policy selector (an interned name) used
-//!   by [`crate::experiment::ExperimentConfig`], the campaign grid axis and
-//!   the `campaign` CLI. It serializes to the variant labels of the
-//!   pre-registry protocol enum so pre-existing configs and reports keep
-//!   their exact bytes.
-//! * [`PolicyRegistry`] — a string-keyed registry mapping names (plus
-//!   aliases and the legacy labels) to constructors. The four paper
-//!   disciplines are pre-registered; external code adds its own with
-//!   [`register`].
+//! * [`PolicyId`] — a cheap, `Copy` policy selector (an index into
+//!   [`POLICIES`]) used by [`crate::experiment::ExperimentConfig`], the
+//!   campaign grid axis and the `campaign` CLI. It serializes to the
+//!   variant labels of the pre-plugin protocol enum so pre-existing configs
+//!   and reports keep their exact bytes.
+//! * [`POLICIES`] — the `const` table of named disciplines: canonical
+//!   name, legacy label, aliases, report family, summary and constructor.
+//!   A discipline becomes selectable by name in configs, grids and the CLI
+//!   by gaining one row here. The table is compiled into every binary, so
+//!   the worker subprocesses of `campaign orchestrate` resolve exactly the
+//!   names their supervisor does. A discipline needs no row to run: hand an
+//!   instance to [`crate::network::QuantumNetworkWorld::new`].
 //!
 //! The built-in disciplines live in the submodules [`oblivious`],
 //! [`hybrid`], [`planned`] and [`greedy`] — the last one is a
@@ -47,7 +50,6 @@ use qnet_sim::SimTime;
 use qnet_topology::{Graph, NodeId, PathOracle};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
-use std::sync::{OnceLock, RwLock};
 
 pub use certificate::WaitCertificate;
 
@@ -139,9 +141,6 @@ pub enum QueueDiscipline {
 /// handed (plus their own state) — the reproducibility guarantees of the
 /// whole stack rest on that.
 pub trait SwapPolicy: fmt::Debug + Send {
-    /// The registry identity of this policy.
-    fn id(&self) -> PolicyId;
-
     /// Whether the world should schedule the periodic per-node swap-scan
     /// events that drive [`SwapPolicy::on_swap_scan`]. Planned-path
     /// disciplines return `false`: they swap only on demand.
@@ -217,96 +216,84 @@ pub enum PolicyFamily {
     Planned,
 }
 
-/// An interned, copyable policy selector.
+/// A copyable policy selector: the index of a row of [`POLICIES`].
 ///
-/// A `PolicyId` is just the canonical registry name of a policy, so
 /// [`crate::experiment::ExperimentConfig`] stays a flat `Copy` value that
 /// sweep runners hand to worker threads by value. Obtain one from the
-/// associated constants for the built-ins, from [`PolicyId::parse`] for CLI
-/// strings, or from [`register`] for external policies.
+/// associated constants or from [`PolicyId::parse`] for CLI strings.
 ///
-/// Serialization is compatible with the pre-registry protocol enum: the
+/// Serialization is compatible with the pre-plugin protocol enum: the
 /// built-ins serialize to its variant labels (`"Oblivious"`,
 /// `"PlannedConnectionOriented"`, …) and deserialize from either those
-/// labels or the registry names, so pre-refactor configs and campaign
+/// labels or the canonical names, so pre-refactor configs and campaign
 /// reports keep byte-identical JSON.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PolicyId {
-    name: &'static str,
-}
+pub struct PolicyId(u8);
 
 impl PolicyId {
     /// The paper's §4 path-oblivious max-min balancing protocol.
-    pub const OBLIVIOUS: PolicyId = PolicyId { name: "oblivious" };
+    pub const OBLIVIOUS: PolicyId = PolicyId(0);
     /// Oblivious balancing plus the §6 consumer-side repair.
-    pub const HYBRID: PolicyId = PolicyId { name: "hybrid" };
+    pub const HYBRID: PolicyId = PolicyId(1);
     /// Planned-path, connection-oriented baseline (nested swapping along
     /// the request path, in request order).
-    pub const PLANNED: PolicyId = PolicyId { name: "planned" };
+    pub const PLANNED: PolicyId = PolicyId(2);
     /// Planned-path, connectionless baseline (no head-of-line blocking).
-    pub const CONNECTIONLESS: PolicyId = PolicyId {
-        name: "connectionless",
-    };
+    pub const CONNECTIONLESS: PolicyId = PolicyId(3);
     /// Greedy nested-swap-ordering discipline (à la Mai et al.), added
     /// through the plugin API as its extensibility proof.
-    pub const GREEDY: PolicyId = PolicyId { name: "greedy" };
+    pub const GREEDY: PolicyId = PolicyId(4);
     /// Staleness-aware oblivious balancing: believed beneficiary counts are
     /// discounted by `exp(-age/τ)` before the §4 preferable-swap test.
-    pub const GOSSIP_AWARE: PolicyId = PolicyId {
-        name: "gossip-aware",
-    };
+    pub const GOSSIP_AWARE: PolicyId = PolicyId(5);
 
-    /// The canonical registry name (the CLI-facing spelling).
+    fn entry(&self) -> &'static PolicyEntry {
+        &POLICIES[self.0 as usize]
+    }
+
+    /// The canonical name (the CLI-facing spelling).
     pub fn name(&self) -> &'static str {
-        self.name
+        self.entry().name
     }
 
     /// The display label used by `Debug`/`Display` and serialization — the
     /// legacy variant label for the four paper disciplines,
-    /// a CamelCase form of the registry name otherwise.
+    /// a CamelCase form of the name otherwise.
     pub fn display_label(&self) -> &'static str {
-        with_registry(|r| r.entry(self.name).map(|e| e.display)).unwrap_or(self.name)
+        self.entry().display
     }
 
     /// The report family of this policy.
     pub fn family(&self) -> PolicyFamily {
-        with_registry(|r| r.entry(self.name).map(|e| e.family)).unwrap_or(PolicyFamily::Oblivious)
+        self.entry().family
     }
 
-    /// One-line human description from the registry.
+    /// One-line human description.
     pub fn summary(&self) -> &'static str {
-        with_registry(|r| r.entry(self.name).map(|e| e.summary)).unwrap_or("")
+        self.entry().summary
     }
 
-    /// Resolve a name, alias or legacy variant label to a registered
-    /// policy. Returns a human-readable error naming the known policies.
+    /// Resolve a name, alias or legacy variant label to a policy. Returns a
+    /// human-readable error naming the known policies.
     pub fn parse(spec: &str) -> Result<PolicyId, String> {
-        with_registry(|r| {
-            r.resolve(spec).ok_or_else(|| {
-                format!(
+        match POLICIES
+            .iter()
+            .position(|e| e.name == spec || e.display == spec || e.aliases.contains(&spec))
+        {
+            Some(index) => Ok(PolicyId(index as u8)),
+            None => {
+                let known: Vec<&str> = POLICIES.iter().map(|e| e.name).collect();
+                Err(format!(
                     "unknown policy '{spec}' (known: {})",
-                    r.entries
-                        .iter()
-                        .map(|e| e.name)
-                        .collect::<Vec<_>>()
-                        .join("|")
-                )
-            })
-        })
+                    known.join("|")
+                ))
+            }
+        }
     }
 
-    /// Instantiate this policy through the registry.
+    /// A fresh instance of this policy for one run.
     pub fn instantiate(&self) -> Box<dyn SwapPolicy> {
-        with_registry(|r| {
-            let entry = r.entry(self.name).unwrap_or_else(|| {
-                panic!(
-                    "policy '{}' is not in the process-global registry \
-                         (register it with qnet_core::policy::register)",
-                    self.name
-                )
-            });
-            (entry.constructor)()
-        })
+        (self.entry().constructor)()
     }
 }
 
@@ -345,16 +332,13 @@ impl Deserialize for PolicyId {
 }
 
 // ---------------------------------------------------------------------------
-// Registry
+// The policy table
 // ---------------------------------------------------------------------------
 
-/// A policy constructor: builds a fresh policy instance for one run.
-pub type PolicyConstructor = fn() -> Box<dyn SwapPolicy>;
-
-/// Everything the registry knows about one policy.
-#[derive(Clone)]
+/// Everything known about one named policy: one row of [`POLICIES`].
+#[derive(Debug)]
 pub struct PolicyEntry {
-    /// Canonical registry name (CLI-facing, lowercase).
+    /// Canonical name (CLI-facing, lowercase).
     pub name: &'static str,
     /// Display / serialization label (legacy variant label for the paper
     /// disciplines).
@@ -365,158 +349,65 @@ pub struct PolicyEntry {
     pub family: PolicyFamily,
     /// One-line human description.
     pub summary: &'static str,
-    /// Constructor.
-    pub constructor: PolicyConstructor,
+    /// Builds a fresh policy instance for one run.
+    pub constructor: fn() -> Box<dyn SwapPolicy>,
 }
 
-impl fmt::Debug for PolicyEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PolicyEntry")
-            .field("name", &self.name)
-            .field("display", &self.display)
-            .field("family", &self.family)
-            .finish()
-    }
-}
-
-/// The string-keyed policy registry.
-///
-/// A process-global instance pre-loaded with the built-ins backs
-/// [`PolicyId::parse`] / [`PolicyId::instantiate`]; external code extends it
-/// with [`register`].
-#[derive(Debug, Clone)]
-pub struct PolicyRegistry {
-    entries: Vec<PolicyEntry>,
-}
-
-impl PolicyRegistry {
-    /// A registry containing exactly the built-in disciplines.
-    pub fn builtin() -> Self {
-        PolicyRegistry {
-            entries: vec![
-                PolicyEntry {
-                    name: "oblivious",
-                    display: "Oblivious",
-                    aliases: &["path-oblivious"],
-                    family: PolicyFamily::Oblivious,
-                    summary: "path-oblivious max-min balancing (paper §4)",
-                    constructor: || Box::new(oblivious::ObliviousPolicy::new()),
-                },
-                PolicyEntry {
-                    name: "hybrid",
-                    display: "Hybrid",
-                    aliases: &[],
-                    family: PolicyFamily::Oblivious,
-                    summary: "oblivious balancing + consumer-side repair over seeded pairs (§6)",
-                    constructor: || Box::new(hybrid::HybridPolicy::new()),
-                },
-                PolicyEntry {
-                    name: "planned",
-                    display: "PlannedConnectionOriented",
-                    aliases: &["planned-co", "connection-oriented"],
-                    family: PolicyFamily::Planned,
-                    summary: "connection-oriented nested swapping along each request's path",
-                    constructor: || Box::new(planned::PlannedConnectionOrientedPolicy::new()),
-                },
-                PolicyEntry {
-                    name: "connectionless",
-                    display: "PlannedConnectionless",
-                    aliases: &["planned-cl"],
-                    family: PolicyFamily::Planned,
-                    summary: "connectionless planned swapping, no head-of-line blocking",
-                    constructor: || Box::new(planned::PlannedConnectionlessPolicy::new()),
-                },
-                PolicyEntry {
-                    name: "greedy",
-                    display: "GreedyNested",
-                    aliases: &["greedy-nested", "mai"],
-                    family: PolicyFamily::Planned,
-                    summary: "greedy nested-swap ordering exploiting seeded mid-path pairs \
-                              (à la Mai et al.)",
-                    constructor: || Box::new(greedy::GreedyOrderPolicy::new()),
-                },
-                PolicyEntry {
-                    name: "gossip-aware",
-                    display: "GossipAware",
-                    aliases: &["stale-aware"],
-                    family: PolicyFamily::Oblivious,
-                    summary: "oblivious balancing over age-discounted believed counts \
-                              (exp(-age/τ) decay)",
-                    constructor: || Box::new(gossip_aware::GossipAwarePolicy::new()),
-                },
-            ],
-        }
-    }
-
-    /// The entry with canonical name `name`, if registered.
-    pub fn entry(&self, name: &str) -> Option<&PolicyEntry> {
-        self.entries.iter().find(|e| e.name == name)
-    }
-
-    /// Resolve a name, alias or display label to a [`PolicyId`].
-    pub fn resolve(&self, spec: &str) -> Option<PolicyId> {
-        self.entries
-            .iter()
-            .find(|e| e.name == spec || e.display == spec || e.aliases.contains(&spec))
-            .map(|e| PolicyId { name: e.name })
-    }
-
-    /// All entries, in registration order.
-    pub fn entries(&self) -> &[PolicyEntry] {
-        &self.entries
-    }
-
-    /// Register a policy with *this* registry instance. Returns an error if
-    /// the name (or any alias) collides with an existing entry.
-    ///
-    /// Note: the [`PolicyId`] convenience methods (`parse`, `instantiate`,
-    /// `family`, …) always consult the **process-global** registry. An id
-    /// minted by this method on a standalone registry is only meaningful
-    /// through this instance's own `entry`/`resolve` lookups; to make a
-    /// policy selectable by `ExperimentConfig`, the campaign grid and the
-    /// CLI, use the free [`register`] function instead.
-    pub fn register(&mut self, entry: PolicyEntry) -> Result<PolicyId, String> {
-        let collides = |s: &str| self.resolve(s).is_some();
-        if collides(entry.name) || collides(entry.display) {
-            return Err(format!(
-                "policy name '{}' is already registered",
-                entry.name
-            ));
-        }
-        if let Some(a) = entry.aliases.iter().find(|a| collides(a)) {
-            return Err(format!("policy alias '{a}' is already registered"));
-        }
-        let id = PolicyId { name: entry.name };
-        self.entries.push(entry);
-        Ok(id)
-    }
-}
-
-fn global_registry() -> &'static RwLock<PolicyRegistry> {
-    static REGISTRY: OnceLock<RwLock<PolicyRegistry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| RwLock::new(PolicyRegistry::builtin()))
-}
-
-fn with_registry<T>(f: impl FnOnce(&PolicyRegistry) -> T) -> T {
-    f(&global_registry().read().expect("policy registry poisoned"))
-}
-
-/// Register a policy with the process-global registry (the one
-/// [`PolicyId::parse`] and every config/CLI lookup consults). Names must be
-/// `'static`: plugins typically use literals; dynamically generated names
-/// can be interned with `String::leak`.
-pub fn register(entry: PolicyEntry) -> Result<PolicyId, String> {
-    global_registry()
-        .write()
-        .expect("policy registry poisoned")
-        .register(entry)
-}
-
-/// A snapshot of every registered policy, in registration order (built-ins
-/// first). Backs `campaign --list-policies`.
-pub fn registered_policies() -> Vec<PolicyEntry> {
-    with_registry(|r| r.entries.to_vec())
-}
+/// Every named policy, in [`PolicyId`] index order: the one table that
+/// [`PolicyId::parse`], [`PolicyId::instantiate`], the campaign grid's
+/// policy axis and `campaign --list-policies` read.
+pub const POLICIES: &[PolicyEntry] = &[
+    PolicyEntry {
+        name: "oblivious",
+        display: "Oblivious",
+        aliases: &["path-oblivious"],
+        family: PolicyFamily::Oblivious,
+        summary: "path-oblivious max-min balancing (paper §4)",
+        constructor: || Box::new(oblivious::ObliviousPolicy::new()),
+    },
+    PolicyEntry {
+        name: "hybrid",
+        display: "Hybrid",
+        aliases: &[],
+        family: PolicyFamily::Oblivious,
+        summary: "oblivious balancing + consumer-side repair over seeded pairs (§6)",
+        constructor: || Box::new(hybrid::HybridPolicy::new()),
+    },
+    PolicyEntry {
+        name: "planned",
+        display: "PlannedConnectionOriented",
+        aliases: &["planned-co", "connection-oriented"],
+        family: PolicyFamily::Planned,
+        summary: "connection-oriented nested swapping along each request's path",
+        constructor: || Box::new(planned::PlannedConnectionOrientedPolicy::new()),
+    },
+    PolicyEntry {
+        name: "connectionless",
+        display: "PlannedConnectionless",
+        aliases: &["planned-cl"],
+        family: PolicyFamily::Planned,
+        summary: "connectionless planned swapping, no head-of-line blocking",
+        constructor: || Box::new(planned::PlannedConnectionlessPolicy::new()),
+    },
+    PolicyEntry {
+        name: "greedy",
+        display: "GreedyNested",
+        aliases: &["greedy-nested", "mai"],
+        family: PolicyFamily::Planned,
+        summary: "greedy nested-swap ordering exploiting seeded mid-path pairs \
+                  (à la Mai et al.)",
+        constructor: || Box::new(greedy::GreedyOrderPolicy::new()),
+    },
+    PolicyEntry {
+        name: "gossip-aware",
+        display: "GossipAware",
+        aliases: &["stale-aware"],
+        family: PolicyFamily::Oblivious,
+        summary: "oblivious balancing over age-discounted believed counts \
+                  (exp(-age/τ) decay)",
+        constructor: || Box::new(gossip_aware::GossipAwarePolicy::new()),
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -524,15 +415,16 @@ mod tests {
 
     #[test]
     fn builtin_ids_resolve_and_roundtrip() {
-        for id in [
-            PolicyId::OBLIVIOUS,
-            PolicyId::HYBRID,
-            PolicyId::PLANNED,
-            PolicyId::CONNECTIONLESS,
-            PolicyId::GREEDY,
-            PolicyId::GOSSIP_AWARE,
+        for (id, name) in [
+            (PolicyId::OBLIVIOUS, "oblivious"),
+            (PolicyId::HYBRID, "hybrid"),
+            (PolicyId::PLANNED, "planned"),
+            (PolicyId::CONNECTIONLESS, "connectionless"),
+            (PolicyId::GREEDY, "greedy"),
+            (PolicyId::GOSSIP_AWARE, "gossip-aware"),
         ] {
-            assert_eq!(PolicyId::parse(id.name()).unwrap(), id);
+            assert_eq!(id.name(), name);
+            assert_eq!(PolicyId::parse(name).unwrap(), id);
             assert_eq!(PolicyId::parse(id.display_label()).unwrap(), id);
             let v = id.to_value();
             assert_eq!(PolicyId::from_value(&v).unwrap(), id);
@@ -543,7 +435,7 @@ mod tests {
     #[test]
     fn legacy_labels_serialize_identically_to_the_enum() {
         // The four paper disciplines keep the variant labels of the
-        // pre-registry enum, which cached JSON carries; both spellings
+        // pre-plugin enum, which cached JSON carries; both spellings
         // parse back.
         for (id, label) in [
             (PolicyId::OBLIVIOUS, "Oblivious"),
@@ -574,42 +466,40 @@ mod tests {
 
     #[test]
     fn every_builtin_instantiates() {
-        for entry in registered_policies() {
-            let policy = (entry.constructor)();
-            assert_eq!(policy.id().name(), entry.name);
+        // Each row builds its own discipline. Oblivious-family disciplines
+        // balance in periodic scans; planned ones swap only on demand.
+        for (id, discipline) in [
+            (PolicyId::OBLIVIOUS, "ObliviousPolicy"),
+            (PolicyId::HYBRID, "HybridPolicy"),
+            (PolicyId::PLANNED, "PlannedConnectionOrientedPolicy"),
+            (PolicyId::CONNECTIONLESS, "PlannedConnectionlessPolicy"),
+            (PolicyId::GREEDY, "GreedyOrderPolicy"),
+            (PolicyId::GOSSIP_AWARE, "GossipAwarePolicy"),
+        ] {
+            let policy = id.instantiate();
+            let built = format!("{policy:?}");
+            assert!(built.starts_with(discipline), "{id}: {built}");
+            let scans = id.family() == PolicyFamily::Oblivious;
+            assert_eq!(policy.schedules_swap_scans(), scans, "{id}");
         }
+        assert_eq!(POLICIES.len(), 6);
     }
 
     #[test]
-    fn duplicate_registration_is_rejected() {
-        let mut registry = PolicyRegistry::builtin();
-        let dup = PolicyEntry {
-            name: "oblivious",
-            display: "Duplicate",
-            aliases: &[],
-            family: PolicyFamily::Oblivious,
-            summary: "",
-            constructor: || Box::new(oblivious::ObliviousPolicy::new()),
-        };
-        assert!(registry.register(dup).is_err());
-        let alias_clash = PolicyEntry {
-            name: "fresh",
-            display: "Fresh",
-            aliases: &["hybrid"],
-            family: PolicyFamily::Oblivious,
-            summary: "",
-            constructor: || Box::new(oblivious::ObliviousPolicy::new()),
-        };
-        assert!(registry.register(alias_clash).is_err());
-        let ok = PolicyEntry {
-            name: "fresh2",
-            display: "Fresh2",
-            aliases: &[],
-            family: PolicyFamily::Planned,
-            summary: "a custom policy",
-            constructor: || Box::new(planned::PlannedConnectionOrientedPolicy::new()),
-        };
-        let id = registry.register(ok).unwrap();
-        assert_eq!(registry.resolve("fresh2"), Some(id));
+    fn policy_spellings_are_unique() {
+        // Every name, label and alias resolves to its own row, so no row
+        // shadows another.
+        let mut spellings = Vec::new();
+        for entry in POLICIES {
+            let id = PolicyId::parse(entry.name).unwrap();
+            for spelling in [entry.name, entry.display].iter().chain(entry.aliases) {
+                assert_eq!(PolicyId::parse(spelling).unwrap(), id, "{spelling}");
+                spellings.push(*spelling);
+            }
+        }
+        let count = spellings.len();
+        spellings.sort_unstable();
+        spellings.dedup();
+        assert_eq!(spellings.len(), count);
     }
 }

@@ -1,6 +1,6 @@
 //! The path-oblivious balancing discipline (paper §4) as a [`SwapPolicy`].
 
-use super::{PolicyCtx, PolicyId, RequestAction, SwapPolicy};
+use super::{PolicyCtx, RequestAction, SwapPolicy};
 use crate::balancer::{BalancerPolicy, SwapCandidate};
 use crate::workload::ConsumptionRequest;
 use qnet_topology::{NodeId, NodePair};
@@ -48,10 +48,6 @@ impl ObliviousPolicy {
 }
 
 impl SwapPolicy for ObliviousPolicy {
-    fn id(&self) -> PolicyId {
-        PolicyId::OBLIVIOUS
-    }
-
     fn schedules_swap_scans(&self) -> bool {
         true
     }
@@ -79,8 +75,8 @@ impl SwapPolicy for ObliviousPolicy {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::NetworkConfig;
+    use crate::policy::PolicyId;
     use crate::test_support::{pair, run_world};
     use crate::workload::Workload;
     use qnet_topology::Topology;

@@ -6,7 +6,7 @@
 //! requests strictly in sequence order, the connectionless variant lets any
 //! pending request execute as soon as its path has the pairs.
 
-use super::{PolicyCtx, PolicyId, QueueDiscipline, RequestAction, SwapPolicy};
+use super::{PolicyCtx, QueueDiscipline, RequestAction, SwapPolicy};
 use crate::planned::{dry_run_nested_along_path, execute_nested_along_path};
 use crate::workload::ConsumptionRequest;
 use qnet_topology::{NodeId, NodePair};
@@ -104,10 +104,6 @@ impl PlannedConnectionOrientedPolicy {
 }
 
 impl SwapPolicy for PlannedConnectionOrientedPolicy {
-    fn id(&self) -> PolicyId {
-        PolicyId::PLANNED
-    }
-
     fn on_blocked_request(
         &mut self,
         ctx: &mut PolicyCtx<'_>,
@@ -133,10 +129,6 @@ impl PlannedConnectionlessPolicy {
 }
 
 impl SwapPolicy for PlannedConnectionlessPolicy {
-    fn id(&self) -> PolicyId {
-        PolicyId::CONNECTIONLESS
-    }
-
     fn queue_discipline(&self) -> QueueDiscipline {
         QueueDiscipline::AnyOrder
     }
@@ -152,8 +144,8 @@ impl SwapPolicy for PlannedConnectionlessPolicy {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::NetworkConfig;
+    use crate::policy::PolicyId;
     use crate::test_support::{pair, run_world};
     use crate::workload::Workload;
     use qnet_topology::Topology;

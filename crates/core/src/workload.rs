@@ -149,6 +149,83 @@ impl WorkloadSpec {
         self
     }
 
+    /// Parse the campaign/CLI workload grammar over `pairs` consumer pairs:
+    /// `closed[:REQUESTS]` or `open-loop:RATE_HZ[:HORIZON_S]`, optionally
+    /// suffixed with a selection: `@uniform`, `@round-robin` or `@zipf:S`.
+    /// An omitted request count or arrival horizon takes
+    /// `default_requests` or `default_horizon_s`. The node count is left
+    /// at 0 for grids to patch per topology. The value rules are
+    /// [`WorkloadSpec::check`]'s.
+    pub fn parse(
+        spec: &str,
+        pairs: usize,
+        default_requests: usize,
+        default_horizon_s: f64,
+    ) -> Result<WorkloadSpec, String> {
+        let (traffic_spec, selection_spec) = match spec.split_once('@') {
+            Some((t, sel)) => (t, Some(sel)),
+            None => (spec, None),
+        };
+        let parts: Vec<&str> = traffic_spec.split(':').collect();
+        let traffic = match parts[0] {
+            "closed" => {
+                let requests = match parts.get(1) {
+                    Some(r) => r
+                        .parse()
+                        .map_err(|_| format!("{spec}: bad request count"))?,
+                    None => default_requests,
+                };
+                if parts.len() > 2 {
+                    return Err(format!("{spec}: closed takes at most one parameter"));
+                }
+                TrafficModel::ClosedLoopBatch { requests }
+            }
+            "open-loop" => {
+                let rate_hz: f64 = parts
+                    .get(1)
+                    .ok_or_else(|| format!("{spec}: open-loop needs a rate"))?
+                    .parse()
+                    .map_err(|_| format!("{spec}: bad arrival rate"))?;
+                let horizon_s: f64 = match parts.get(2) {
+                    Some(h) => h.parse().map_err(|_| format!("{spec}: bad horizon"))?,
+                    None => default_horizon_s,
+                };
+                if parts.len() > 3 {
+                    return Err(format!("{spec}: open-loop takes at most two parameters"));
+                }
+                TrafficModel::OpenLoopPoisson { rate_hz, horizon_s }
+            }
+            other => Err(format!(
+                "unknown traffic model '{other}' (valid: closed, open-loop; \
+                 see --list-workloads)"
+            ))?,
+        };
+        let selection = match selection_spec {
+            None | Some("uniform") => PairSelection::UniformRandom,
+            Some("round-robin") => PairSelection::RoundRobin,
+            Some(sel) => match sel.split_once(':') {
+                Some(("zipf", s)) => PairSelection::ZipfSkew {
+                    s: s.parse()
+                        .map_err(|_| format!("{spec}: bad Zipf exponent"))?,
+                },
+                _ => {
+                    return Err(format!(
+                        "unknown selection '@{sel}' (valid: @uniform, @round-robin, \
+                         @zipf:S; see --list-workloads)"
+                    ))
+                }
+            },
+        };
+        let workload = WorkloadSpec {
+            node_count: 0,
+            consumer_pairs: pairs,
+            traffic,
+            selection,
+        };
+        workload.check().map_err(|e| format!("{spec}: {e}"))?;
+        Ok(workload)
+    }
+
     /// The value rules every runnable spec satisfies: at least one
     /// consumer pair; a closed-loop batch of at least one request; an
     /// open-loop rate and arrival horizon that are positive and finite; a

@@ -57,7 +57,7 @@
 //! -p qnet-campaign --bin campaign -- --help`), which emits the JSONL
 //! report on stdout and a human summary (with an optional serial-vs-parallel
 //! determinism check) on stderr. `campaign --list-policies` prints every
-//! swapping discipline in the registry; `campaign --list-workloads` prints
+//! swapping discipline in the policy table; `campaign --list-workloads` prints
 //! the workload-spec grammar (e.g. `--workload open-loop:2@zipf:1.1`);
 //! `campaign --list-topologies` prints the topology-spec grammar.
 //!
@@ -592,11 +592,11 @@
 //! ## Writing your own `SwapPolicy`
 //!
 //! Swapping disciplines are plugins: implement
-//! [`core::policy::SwapPolicy`], register a constructor under a string
-//! name, and every selection surface — [`core::ExperimentConfig`], the
-//! campaign grid's policy axis, the `campaign` CLI — can run it. The
-//! simulation world stays a policy-agnostic substrate; your policy makes
-//! the decisions:
+//! [`core::policy::SwapPolicy`], hand an instance to
+//! [`core::network::QuantumNetworkWorld::new`], and [`sim::run_until`]
+//! runs the world on the queue its constructor seeded. No name is needed.
+//! The simulation world stays a policy-agnostic substrate; your policy
+//! makes the decisions:
 //!
 //! * [`core::policy::SwapPolicy::schedules_swap_scans`] — whether nodes run
 //!   periodic balancing scans (`true` for oblivious-style disciplines);
@@ -610,20 +610,19 @@
 //!   any-order draining of the request queue.
 //!
 //! ```
-//! use qnet::core::policy::{
-//!     self, PolicyCtx, PolicyEntry, PolicyFamily, PolicyId, RequestAction, SwapPolicy,
-//! };
-//! use qnet::core::workload::ConsumptionRequest;
-//! use qnet::core::{Experiment, ExperimentConfig};
+//! use qnet::core::classical::KnowledgeModel;
+//! use qnet::core::network::QuantumNetworkWorld;
+//! use qnet::core::policy::{PolicyCtx, RequestAction, SwapPolicy};
+//! use qnet::core::workload::{ConsumptionRequest, WorkloadSpec};
+//! use qnet::core::NetworkConfig;
+//! use qnet::sim::{run_until, EventQueue, SimTime};
+//! use qnet::topology::Topology;
 //!
 //! /// A do-nothing discipline: consume only directly generated pairs.
-//! #[derive(Debug, Default)]
+//! #[derive(Debug)]
 //! struct DirectOnly;
 //!
 //! impl SwapPolicy for DirectOnly {
-//!     fn id(&self) -> PolicyId {
-//!         PolicyId::parse("direct-only").expect("registered below")
-//!     }
 //!     fn on_blocked_request(
 //!         &mut self,
 //!         _ctx: &mut PolicyCtx<'_>,
@@ -633,25 +632,28 @@
 //!     }
 //! }
 //!
-//! let id = policy::register(PolicyEntry {
-//!     name: "direct-only",
-//!     display: "DirectOnly",
-//!     aliases: &[],
-//!     family: PolicyFamily::Planned,
-//!     summary: "never swaps; serves neighbor requests only",
-//!     constructor: || Box::new(DirectOnly),
-//! })
-//! .expect("name is free");
-//!
-//! // The new policy is now selectable everywhere a built-in is.
-//! let config = ExperimentConfig {
-//!     mode: id,
-//!     max_sim_time_s: 50.0,
-//!     ..ExperimentConfig::default()
-//! };
-//! let result = Experiment::new(config).run();
-//! assert_eq!(result.mode, PolicyId::parse("direct-only").unwrap());
+//! let config = NetworkConfig::new(Topology::Cycle { nodes: 6 });
+//! let workload = WorkloadSpec::closed_loop(6, 4, 4).generate(1);
+//! let mut queue = EventQueue::new();
+//! let mut world = QuantumNetworkWorld::new(
+//!     config,
+//!     workload,
+//!     Box::new(DirectOnly),
+//!     KnowledgeModel::Global,
+//!     7,
+//!     &mut queue,
+//! );
+//! run_until(&mut world, &mut queue, SimTime::from_secs(50));
+//! world.finish();
+//! // The discipline never swaps: it serves only pairs one link generated.
+//! assert_eq!(world.metrics().swaps_performed, 0);
 //! ```
+//!
+//! A discipline that should be selectable by name — in
+//! [`core::ExperimentConfig`], the campaign grid's policy axis and the
+//! `campaign` CLI, worker subprocesses of `campaign orchestrate` included —
+//! is one row of the policy table [`core::policy::POLICIES`]: its name,
+//! legacy label, aliases, report family, summary and constructor.
 //!
 //! The built-in disciplines (`oblivious`, `hybrid`, `planned`,
 //! `connectionless`, and the greedy nested-ordering policy `greedy`) are

@@ -107,6 +107,23 @@ pub enum Topology {
     DeployedFiber,
 }
 
+/// Every topology family [`Topology::parse`] accepts, with the fewest and
+/// the most `:`-separated parameters it takes.
+const TOPOLOGY_FAMILIES: [(&str, usize, usize); 12] = [
+    ("cycle", 1, 1),
+    ("path", 1, 1),
+    ("star", 1, 1),
+    ("complete", 1, 1),
+    ("torus", 1, 1),
+    ("grid", 1, 1),
+    ("rand-grid", 1, 1),
+    ("er", 2, 2),
+    ("ws", 3, 3),
+    ("tree", 1, 1),
+    ("scale-free", 1, 2),
+    ("nyc-fiber", 0, 0),
+];
+
 impl Topology {
     /// Human-readable label used in experiment reports.
     pub fn label(&self) -> String {
@@ -149,6 +166,72 @@ impl Topology {
             | Topology::RandomConnectedGrid { side } => side.saturating_mul(side),
             Topology::DeployedFiber => crate::fabric::nyc_fiber_node_count(),
         }
+    }
+
+    /// Parse the campaign/CLI topology grammar: a family name followed by
+    /// its `:`-separated parameters, e.g. `cycle:9`, `ws:9:4:0.2`,
+    /// `scale-free:1000[:M]` or `nyc-fiber`; a spec with too few or too
+    /// many parameters for its family is an error. The value rules are
+    /// [`Topology::check`]'s.
+    pub fn parse(spec: &str) -> Result<Topology, String> {
+        let parts: Vec<&str> = spec.split(':').collect();
+        let Some(&(family, least, most)) = TOPOLOGY_FAMILIES.iter().find(|f| f.0 == parts[0])
+        else {
+            let families: Vec<&str> = TOPOLOGY_FAMILIES.iter().map(|f| f.0).collect();
+            return Err(format!(
+                "unknown topology family '{}' (valid: {}; see --list-topologies)",
+                parts[0],
+                families.join(", ")
+            ));
+        };
+        if !(least..=most).contains(&(parts.len() - 1)) {
+            let count = if least == most {
+                least.to_string()
+            } else {
+                format!("{least}–{most}")
+            };
+            let plural = if most == 1 { "" } else { "s" };
+            return Err(format!("{spec}: {family} takes {count} parameter{plural}"));
+        }
+        let n = |i: usize| -> Result<usize, String> {
+            parts[i]
+                .parse()
+                .map_err(|_| format!("{spec}: bad integer parameter"))
+        };
+        let f = |i: usize| -> Result<f64, String> {
+            parts[i]
+                .parse()
+                .map_err(|_| format!("{spec}: bad float parameter"))
+        };
+        let topology = match family {
+            "cycle" => Topology::Cycle { nodes: n(1)? },
+            "path" => Topology::Path { nodes: n(1)? },
+            "star" => Topology::Star { nodes: n(1)? },
+            "complete" => Topology::Complete { nodes: n(1)? },
+            "torus" => Topology::TorusGrid { side: n(1)? },
+            "grid" => Topology::PlanarGrid { side: n(1)? },
+            "rand-grid" => Topology::RandomConnectedGrid { side: n(1)? },
+            "er" => Topology::ErdosRenyiConnected {
+                nodes: n(1)?,
+                edge_probability: f(2)?,
+            },
+            "ws" => Topology::WattsStrogatz {
+                nodes: n(1)?,
+                neighbors: n(2)?,
+                rewire_probability: f(3)?,
+            },
+            "tree" => Topology::RandomTree { nodes: n(1)? },
+            "scale-free" => Topology::ScaleFree {
+                nodes: n(1)?,
+                // Preferential attachment defaults to 2 edges per newcomer
+                // (the classic internet-like Barabási–Albert setting).
+                attach: if parts.len() > 2 { n(2)? } else { 2 },
+            },
+            "nyc-fiber" => Topology::DeployedFiber,
+            _ => unreachable!("every family in TOPOLOGY_FAMILIES has an arm"),
+        };
+        topology.check()?;
+        Ok(topology)
     }
 
     /// The parameter rules every runnable recipe satisfies: at least two
@@ -526,6 +609,24 @@ pub fn random_tree(n: usize, seed: u64) -> Graph {
 mod tests {
     use super::*;
     use crate::connectivity::is_connected;
+
+    #[test]
+    fn parse_holds_each_family_to_its_arity() {
+        // Too few or too many parameters is an arity error; any other
+        // outcome is left to the value rules.
+        for (family, least, most) in TOPOLOGY_FAMILIES {
+            for count in 0..=most + 2 {
+                let spec: Vec<&str> = std::iter::once(family)
+                    .chain(["9", "4", "0.2", "1", "2"].into_iter().take(count))
+                    .collect();
+                let spec = spec.join(":");
+                let arity_error = Topology::parse(&spec)
+                    .err()
+                    .is_some_and(|e| e.starts_with(&format!("{spec}: {family} takes ")));
+                assert_eq!(arity_error, !(least..=most).contains(&count), "{spec}");
+            }
+        }
+    }
 
     #[test]
     fn cycle_shape() {

@@ -9,8 +9,9 @@
 //! * the topology builders used in the paper's evaluation (cycle graph,
 //!   wraparound grid, random-connected grid) plus extras used in ablations
 //!   (path, star, complete, Erdős–Rényi, random tree),
-//! * shortest-path algorithms (BFS and Dijkstra) used both by the
-//!   planned-path baselines and by the swap-overhead metric's denominator,
+//! * shortest paths (BFS, and the memoizing [`PathOracle`]) used both by
+//!   the planned-path baselines and by the swap-overhead metric's
+//!   denominator,
 //! * connectivity utilities (union-find, connected components), and
 //! * [`NodePair`] / [`PairMatrix`], the canonical unordered-pair key and a
 //!   symmetric matrix keyed by it — the natural container for `g(x, y)`,
@@ -29,7 +30,6 @@ pub mod connectivity;
 pub mod edge_index;
 pub mod fabric;
 pub mod graph;
-pub mod metrics;
 pub mod pairs;
 pub mod shortest_path;
 
@@ -39,4 +39,4 @@ pub use edge_index::EdgeIndex;
 pub use fabric::{FabricSpec, HardwarePreset, LinkFabric, LinkProfile};
 pub use graph::{Graph, NodeId};
 pub use pairs::{CountMatrix, CountRow, NodePair, PairMatrix};
-pub use shortest_path::{bfs_distances, bfs_path, dijkstra, PathOracle, PathResult};
+pub use shortest_path::{bfs_distances, bfs_path, PathOracle, PathResult};

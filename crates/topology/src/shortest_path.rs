@@ -8,13 +8,11 @@
 //!   by `Σ_c s(ℓ(c))` where `ℓ(c)` is the shortest-path hop count between the
 //!   consumption pair's endpoints in the generation graph.
 //!
-//! Generation graphs are unweighted, so BFS is the workhorse; a Dijkstra
-//! variant over `f64` edge weights is provided for fidelity- or
-//! latency-weighted extensions (§6).
+//! Generation graphs are unweighted, so BFS is the workhorse.
 
 use crate::graph::{Graph, NodeId};
 use std::cell::RefCell;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Result of a point-to-point path query.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,7 +20,7 @@ pub struct PathResult {
     /// The nodes along the path, starting at the source and ending at the
     /// target (inclusive).
     pub nodes: Vec<NodeId>,
-    /// Total cost: hop count for BFS, summed weights for Dijkstra.
+    /// Total cost: the hop count.
     pub cost: f64,
 }
 
@@ -251,90 +249,6 @@ impl PathOracle {
     }
 }
 
-/// Dijkstra over non-negative edge weights supplied by `weight(a, b)`.
-/// Returns the minimum-total-weight path, or `None` if unreachable.
-///
-/// # Panics
-/// Panics (in debug builds) if a negative weight is supplied.
-pub fn dijkstra(
-    graph: &Graph,
-    source: NodeId,
-    target: NodeId,
-    mut weight: impl FnMut(NodeId, NodeId) -> f64,
-) -> Option<PathResult> {
-    use std::cmp::Ordering;
-
-    #[derive(PartialEq)]
-    struct Entry {
-        cost: f64,
-        node: NodeId,
-    }
-    impl Eq for Entry {}
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Min-heap on (cost, node id) — the node id tie-break keeps the
-            // search deterministic.
-            other
-                .cost
-                .partial_cmp(&self.cost)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| other.node.cmp(&self.node))
-        }
-    }
-
-    let n = graph.node_count();
-    if source.index() >= n || target.index() >= n {
-        return None;
-    }
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<NodeId>> = vec![None; n];
-    let mut done = vec![false; n];
-    dist[source.index()] = 0.0;
-    let mut heap = BinaryHeap::new();
-    heap.push(Entry {
-        cost: 0.0,
-        node: source,
-    });
-    while let Some(Entry { cost, node }) = heap.pop() {
-        if done[node.index()] {
-            continue;
-        }
-        done[node.index()] = true;
-        if node == target {
-            let mut nodes = vec![target];
-            let mut cur = target;
-            while cur != source {
-                cur = prev[cur.index()].expect("path reconstruction hit a gap");
-                nodes.push(cur);
-            }
-            nodes.reverse();
-            return Some(PathResult { nodes, cost });
-        }
-        for &v in graph.neighbors(node) {
-            if done[v.index()] {
-                continue;
-            }
-            let w = weight(node, v);
-            debug_assert!(w >= 0.0, "negative edge weight");
-            let next = cost + w;
-            if next < dist[v.index()] {
-                dist[v.index()] = next;
-                prev[v.index()] = Some(node);
-                heap.push(Entry {
-                    cost: next,
-                    node: v,
-                });
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,44 +341,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn dijkstra_unit_weights_matches_bfs() {
-        let g = torus_grid(5);
-        for s in 0..25u32 {
-            for t in 0..25u32 {
-                let b = bfs_path(&g, NodeId(s), NodeId(t)).unwrap();
-                let d = dijkstra(&g, NodeId(s), NodeId(t), |_, _| 1.0).unwrap();
-                assert_eq!(b.hops() as f64, d.cost, "{s}->{t}");
-            }
-        }
-    }
-
-    #[test]
-    fn dijkstra_prefers_cheap_detour() {
-        // Triangle where the direct edge is expensive.
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1));
-        g.add_edge(NodeId(1), NodeId(2));
-        g.add_edge(NodeId(0), NodeId(2));
-        let w = |a: NodeId, b: NodeId| {
-            if (a.0, b.0) == (0, 2) || (a.0, b.0) == (2, 0) {
-                10.0
-            } else {
-                1.0
-            }
-        };
-        let p = dijkstra(&g, NodeId(0), NodeId(2), w).unwrap();
-        assert_eq!(p.nodes, vec![NodeId(0), NodeId(1), NodeId(2)]);
-        assert_eq!(p.cost, 2.0);
-    }
-
-    #[test]
-    fn dijkstra_unreachable_is_none() {
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1));
-        assert!(dijkstra(&g, NodeId(0), NodeId(2), |_, _| 1.0).is_none());
     }
 
     /// Oracle answers must be indistinguishable from fresh BFS on every

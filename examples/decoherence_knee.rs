@@ -40,7 +40,7 @@ fn main() {
     );
 
     for policy in policies {
-        let mode = PolicyId::parse(policy).expect("registered policy");
+        let mode = PolicyId::parse(policy).expect("a name in the policy table");
         for t2 in coherence_times_s {
             let network = if t2.is_finite() {
                 NetworkConfig::new(topology).with_physics(PhysicsModel::decoherent(t2))

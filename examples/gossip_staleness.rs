@@ -33,7 +33,7 @@ fn main() {
     );
 
     for policy in policies {
-        let mode = PolicyId::parse(policy).expect("registered policy");
+        let mode = PolicyId::parse(policy).expect("a name in the policy table");
         let run = |knowledge: KnowledgeModel| {
             Experiment::new(ExperimentConfig {
                 network: NetworkConfig::new(topology),

@@ -32,10 +32,11 @@ fn main() {
         "{:>28} {:>10} {:>9} {:>11} {:>9} {:>12}",
         "mode", "overhead", "swaps", "satisfied", "repairs", "sim seconds"
     );
-    // Every registered planned/oblivious discipline, by policy name — the
-    // greedy nested-ordering policy rides along purely through the registry.
+    // Every named planned/oblivious discipline, by policy name — the
+    // greedy nested-ordering policy rides along purely through the policy
+    // table.
     for mode in ["oblivious", "hybrid", "greedy", "planned", "connectionless"] {
-        let mode = PolicyId::parse(mode).expect("registered policy");
+        let mode = PolicyId::parse(mode).expect("a name in the policy table");
         let config = ExperimentConfig { mode, ..base };
         let r = Experiment::new(config).run();
         println!(

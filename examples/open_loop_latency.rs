@@ -30,7 +30,7 @@ fn main() {
     );
 
     for policy in policies {
-        let mode = PolicyId::parse(policy).expect("registered policy");
+        let mode = PolicyId::parse(policy).expect("a name in the policy table");
         for rate_hz in rates_hz {
             let config = ExperimentConfig {
                 network: NetworkConfig::new(topology),

@@ -15,7 +15,7 @@ fn main() {
     let config = ExperimentConfig {
         network: NetworkConfig::new(topology).with_distillation(DistillationSpec::Uniform(1.0)),
         workload: WorkloadSpec::paper_default(topology.node_count()),
-        // Policies are selected by registry name; `PolicyId::parse("oblivious")`
+        // Policies are selected by name; `PolicyId::parse("oblivious")`
         // accepts the same strings as the campaign CLI's --modes axis.
         mode: PolicyId::OBLIVIOUS,
         knowledge: KnowledgeModel::Global,

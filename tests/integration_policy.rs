@@ -6,7 +6,7 @@
 //!    `cycle-9` at `D = 2`, seeds {1, 13, 23}. The numbers below were
 //!    captured from the enum-dispatch implementation immediately before the
 //!    refactor; any drift means the trait decomposition changed behaviour.
-//! 2. **Registry round-trip**: every registered policy name parses the way
+//! 2. **Policy-table round-trip**: every named policy parses the way
 //!    the campaign CLI parses `--modes`, serializes through
 //!    `ExperimentConfig` JSON, and appears in the `campaign
 //!    --list-policies` output.
@@ -17,7 +17,7 @@
 
 use qnet::campaign::{aggregate, policy_listing, run_campaign, to_jsonl_string};
 use qnet::core::classical::KnowledgeModel;
-use qnet::core::policy::registered_policies;
+use qnet::core::policy::POLICIES;
 use qnet::prelude::*;
 use qnet_topology::Topology;
 
@@ -85,9 +85,8 @@ fn greedy_policy_runs_the_paper_config_deterministically() {
 
 #[test]
 fn every_registered_policy_parses_like_the_campaign_cli() {
-    let entries = registered_policies();
-    assert!(entries.len() >= 5, "the five built-ins are registered");
-    for entry in &entries {
+    assert!(POLICIES.len() >= 5, "the five built-ins are in the table");
+    for entry in POLICIES {
         // The CLI's --modes axis goes through PolicyId::parse.
         let id = PolicyId::parse(entry.name).unwrap_or_else(|e| panic!("{}: {e}", entry.name));
         assert_eq!(id.name(), entry.name);
@@ -101,7 +100,7 @@ fn every_registered_policy_parses_like_the_campaign_cli() {
 
 #[test]
 fn every_registered_policy_serializes_through_experiment_config() {
-    for entry in registered_policies() {
+    for entry in POLICIES {
         let id = PolicyId::parse(entry.name).unwrap();
         let config = ExperimentConfig::default().with_policy(id);
         let json = serde_json::to_string(&config).expect("serializable");
@@ -124,7 +123,7 @@ fn every_registered_policy_serializes_through_experiment_config() {
 #[test]
 fn every_registered_policy_appears_in_list_policies_output() {
     let listing = policy_listing();
-    for entry in registered_policies() {
+    for entry in POLICIES {
         assert!(
             listing.lines().any(|l| l.starts_with(entry.name)),
             "{} missing from --list-policies output:\n{listing}",
